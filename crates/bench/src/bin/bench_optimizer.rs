@@ -1,7 +1,7 @@
 //! Wall-clock comparison of `Optimizer::run` in the legacy configuration
-//! (from-scratch re-analysis, sequential verification) against the
-//! incremental + parallel default, on the two largest suite programs at
-//! the paper's k8 cache (2-way, 16 B blocks, 512 B).
+//! (from-scratch re-analysis of every candidate) against the incremental
+//! default, on the two largest suite programs at the paper's k8 cache
+//! (2-way, 16 B blocks, 512 B).
 //!
 //! Writes machine-readable `results/bench_optimizer.json` and prints a
 //! summary table. Run with:
@@ -24,7 +24,7 @@ struct Row {
     program: String,
     instrs: usize,
     full_sequential_ms: f64,
-    incremental_parallel_ms: f64,
+    incremental_ms: f64,
     speedup: f64,
     inserted: u32,
     wcet_before: u64,
@@ -51,7 +51,7 @@ fn main() {
     let config = EngineConfig::geometry(2, 16, 512).expect("valid k8 geometry");
     // The interactive profile's optimizer budget with the classic 20-cycle
     // miss penalty; the "legacy" variant only flips the result-invariant
-    // execution-strategy knobs.
+    // `incremental` knob.
     let base = EngineConfig::interactive(config).with_penalty(20);
     let mut rows = Vec::new();
 
@@ -60,14 +60,13 @@ fn main() {
         let legacy = base
             .clone()
             .with_incremental(false)
-            .with_verify_workers(1)
             .optimize_params(b.program.instr_count());
         let tuned = base.optimize_params(b.program.instr_count());
         let (t_legacy, r_legacy) = best_of(config, legacy, &b.program);
         let (t_tuned, r_tuned) = best_of(config, tuned, &b.program);
         assert!(
             r_legacy.report.decisions_eq(&r_tuned.report) && r_legacy.program == r_tuned.program,
-            "{name}: incremental+parallel changed optimizer decisions"
+            "{name}: incremental re-analysis changed optimizer decisions"
         );
         if std::env::var_os("BENCH_PROFILE").is_some() {
             eprintln!("--- {name} legacy ---\n{}", r_legacy.report.profile);
@@ -77,7 +76,7 @@ fn main() {
             program: name.to_string(),
             instrs: b.program.instr_count(),
             full_sequential_ms: t_legacy,
-            incremental_parallel_ms: t_tuned,
+            incremental_ms: t_tuned,
             speedup: t_legacy / t_tuned,
             inserted: r_tuned.report.inserted,
             wcet_before: r_tuned.report.wcet_before,
@@ -92,12 +91,12 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"program\": \"{}\", \"instrs\": {}, \"full_sequential_ms\": {:.3}, \
-             \"incremental_parallel_ms\": {:.3}, \"speedup\": {:.2}, \"inserted\": {}, \
+             \"incremental_ms\": {:.3}, \"speedup\": {:.2}, \"inserted\": {}, \
              \"wcet_before\": {}, \"wcet_after\": {}}}",
             r.program,
             r.instrs,
             r.full_sequential_ms,
-            r.incremental_parallel_ms,
+            r.incremental_ms,
             r.speedup,
             r.inserted,
             r.wcet_before,
@@ -113,12 +112,12 @@ fn main() {
 
     println!(
         "{:<12} {:>8} {:>16} {:>16} {:>8}",
-        "program", "instrs", "full+seq (ms)", "inc+par (ms)", "speedup"
+        "program", "instrs", "full (ms)", "incremental (ms)", "speedup"
     );
     for r in &rows {
         println!(
             "{:<12} {:>8} {:>16.2} {:>16.2} {:>7.2}x",
-            r.program, r.instrs, r.full_sequential_ms, r.incremental_parallel_ms, r.speedup
+            r.program, r.instrs, r.full_sequential_ms, r.incremental_ms, r.speedup
         );
     }
     println!("wrote {}", out.display());

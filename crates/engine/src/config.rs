@@ -69,10 +69,9 @@ pub struct EngineConfig {
     /// Result-invariant execution strategy knobs (identical outputs per
     /// `OptimizeParams` docs), excluded from the artifact fingerprint.
     incremental: bool,
-    verify_workers: usize,
     /// Worker threads for the classify fixpoint (SCC-DAG scheduling) and
     /// the per-set refinement fan-out; `0` = one per core. Result-invariant
-    /// like `verify_workers` (DESIGN.md §13), so excluded from the
+    /// like `incremental` (DESIGN.md §13), so excluded from the
     /// fingerprint.
     threads: usize,
     severity: SeverityConfig,
@@ -107,7 +106,6 @@ impl EngineConfig {
             check_effectiveness: true,
             refine: RefineConfig::on(),
             incremental: true,
-            verify_workers: 0,
             threads: 0,
             severity: SeverityConfig::new(),
         }
@@ -228,12 +226,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the verification worker count (`0` = one per core).
-    pub fn with_verify_workers(mut self, workers: usize) -> EngineConfig {
-        self.verify_workers = workers;
-        self
-    }
-
     /// Sets the analysis worker-thread count (`0` = one per core). Threads
     /// drive the classify fixpoint's SCC-DAG scheduler and the per-set
     /// refinement fan-out; outputs are byte-identical at any count
@@ -328,7 +320,6 @@ impl EngineConfig {
             timing: self.timing(),
             check_effectiveness: self.check_effectiveness,
             incremental: self.incremental,
-            verify_workers: self.verify_workers,
             refine: self.refine,
             ..OptimizeParams::default()
         };
@@ -445,9 +436,9 @@ impl EngineConfig {
 
     /// Content hash of everything that can influence a computed artifact.
     ///
-    /// `incremental`, `verify_workers`, and `threads` are excluded: all are
-    /// proven result-invariant (see `OptimizeParams` and DESIGN.md §13), so keying on them would
-    /// only invalidate caches spuriously. The severity policy is excluded
+    /// `incremental` and `threads` are excluded: both are proven
+    /// result-invariant (see `OptimizeParams` and DESIGN.md §13), so
+    /// keying on them would only invalidate caches spuriously. The severity policy is excluded
     /// because it shapes *reporting* of diagnostics, which are never
     /// cached.
     pub fn fingerprint(&self) -> Fingerprint {
@@ -522,11 +513,7 @@ mod tests {
     #[test]
     fn fingerprint_ignores_result_invariant_knobs() {
         let base = EngineConfig::evaluation(k8());
-        let same = base
-            .clone()
-            .with_incremental(false)
-            .with_verify_workers(1)
-            .with_threads(3);
+        let same = base.clone().with_incremental(false).with_threads(3);
         assert_eq!(base.fingerprint(), same.fingerprint());
         assert!(same.resolved_threads() == 3);
         assert!(base.resolved_threads() >= 1);

@@ -579,7 +579,8 @@ impl ArtifactStore {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(v);
             }
-            enum Role {
+            enum Role<T> {
+                Hit(Arc<T>),
                 Leader(Arc<Flight>),
                 Follower(Arc<Flight>),
             }
@@ -587,17 +588,28 @@ impl ArtifactStore {
                 let mut flights = self.flights.lock().expect("flights lock");
                 match flights.get(&key) {
                     Some(f) => Role::Follower(Arc::clone(f)),
-                    None => {
-                        let f = Arc::new(Flight {
-                            state: Mutex::new(FlightState::Running),
-                            done: Condvar::new(),
-                        });
-                        flights.insert(key, Arc::clone(&f));
-                        Role::Leader(f)
-                    }
+                    // A leader may have published and unregistered its
+                    // flight since the lookup above; it inserts before it
+                    // unregisters, so look again before leading a second
+                    // compute of the same key.
+                    None => match self.get::<T>(key) {
+                        Some(v) => Role::Hit(v),
+                        None => {
+                            let f = Arc::new(Flight {
+                                state: Mutex::new(FlightState::Running),
+                                done: Condvar::new(),
+                            });
+                            flights.insert(key, Arc::clone(&f));
+                            Role::Leader(f)
+                        }
+                    },
                 }
             };
             match role {
+                Role::Hit(v) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(v);
+                }
                 Role::Leader(flight) => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     // On unwind (compute panicked) the guard poisons the

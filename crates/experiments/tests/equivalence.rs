@@ -66,6 +66,24 @@ fn sampled_units_match_checked_in_sweep_rows() {
     }
 }
 
+/// Runs one unit and asserts its CSV row equals `reference`'s row for the
+/// same `(name, k)`.
+fn assert_unit_matches(reference: &str, policy: &str, name: &str, k: &str, config: CacheConfig) {
+    let b = rtpf_suite::by_name(name).expect("known");
+    let row = rtpf_experiments::run_unit(name, &b.program, k, config);
+    let line = rtpf_experiments::to_csv(std::slice::from_ref(&row));
+    let line = line.lines().nth(1).expect("one data row");
+    let want_prefix = format!("{name},{k},");
+    let want = reference
+        .lines()
+        .find(|l| l.starts_with(&want_prefix))
+        .unwrap_or_else(|| panic!("no {policy} reference row for {name} {k}"));
+    assert_eq!(
+        line, want,
+        "L1-only hierarchy diverged from the pre-hierarchy {policy} bytes on {name} {k}"
+    );
+}
+
 #[test]
 fn l1_only_hierarchy_reproduces_checked_in_sweeps_for_every_policy() {
     // The multi-level refactor's degenerate-case guard: an L1-only
@@ -81,27 +99,39 @@ fn l1_only_hierarchy_reproduces_checked_in_sweeps_for_every_policy() {
                 .expect("checked-in per-policy sweep present"),
         };
         for name in ["fibcall", "sqrt"] {
-            let b = rtpf_suite::by_name(name).expect("known");
             for (k, config) in rtpf_experiments::paper_configs_for(policy) {
                 // The profile really is the degenerate hierarchy…
                 let econfig = rtpf_engine::EngineConfig::evaluation(config);
                 assert_eq!(econfig.hierarchy(), HierarchyConfig::l1_only(config));
                 assert!(econfig.l2().is_none());
                 // …and its unit row matches the pre-hierarchy bytes.
-                let row = rtpf_experiments::run_unit(name, &b.program, &k, config);
-                let line = rtpf_experiments::to_csv(std::slice::from_ref(&row));
-                let line = line.lines().nth(1).expect("one data row");
-                let want_prefix = format!("{name},{k},");
-                let want = reference
-                    .lines()
-                    .find(|l| l.starts_with(&want_prefix))
-                    .unwrap_or_else(|| panic!("no {policy} reference row for {name} {k}"));
-                assert_eq!(
-                    line, want,
-                    "L1-only hierarchy diverged from the pre-hierarchy {policy} bytes \
-                     on {name} {k}"
-                );
+                assert_unit_matches(&reference, &policy.to_string(), name, &k, config);
             }
+        }
+    }
+}
+
+#[test]
+fn fifo_and_plru_rows_match_where_refinement_upgrades_references() {
+    // `fibcall` and `sqrt` barely reach the exact per-set refinement.
+    // These `fft1` units do: refinement upgrades references in every one
+    // (and exhausts its budget on one PLRU set at k9), and all but k9 also
+    // insert prefetches, so the optimizer's verification lineage reuses
+    // memoized per-set outcomes across candidates.
+    use rtpf_cache::ReplacementPolicy;
+    for (policy, ks) in [
+        (ReplacementPolicy::Fifo, ["k8", "k14", "k15"].as_slice()),
+        (ReplacementPolicy::Plru, ["k9", "k17"].as_slice()),
+    ] {
+        let reference = std::fs::read_to_string(rtpf_experiments::cache_path_for(policy))
+            .expect("checked-in per-policy sweep present");
+        let configs = rtpf_experiments::paper_configs_for(policy);
+        for &k in ks {
+            let (_, config) = configs
+                .iter()
+                .find(|(id, _)| id == k)
+                .expect("paper config");
+            assert_unit_matches(&reference, &policy.to_string(), "fft1", k, *config);
         }
     }
 }

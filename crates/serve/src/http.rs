@@ -109,6 +109,7 @@ pub fn write_response(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };

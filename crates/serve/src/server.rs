@@ -10,6 +10,13 @@
 //! connections are waiting, so a handful of chatty clients cannot
 //! starve the pool.
 //!
+//! Slow peers: every accepted connection reads under a fixed
+//! [`READ_TIMEOUT`]. A peer that sends nothing before it expires (an idle
+//! connection, or an idle keep-alive between requests) is closed
+//! silently; one that stalls partway through a request gets `408`.
+//! Either way the worker is free again, so idle sockets cannot wedge the
+//! pool or hold up a drain.
+//!
 //! Graceful shutdown: `POST /shutdown` acknowledges, flips the shutdown
 //! flag, and self-connects to unblock the acceptor; the acceptor stops
 //! accepting and closes the queue; workers drain every queued
@@ -17,17 +24,22 @@
 //! joins them and returns. Nothing accepted is dropped unanswered.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::Duration;
 
 use rtpf_engine::{ArtifactStore, ServiceCore, ServiceError, StoreConfig};
 
 use crate::http::{read_request, write_response, Request};
 use crate::request::decode_request;
+
+/// How long a worker waits on any one read from a connection before
+/// giving up on the peer (see the module docs).
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Daemon configuration (the `rtpfd` flags).
 #[derive(Clone, Debug)]
@@ -235,16 +247,32 @@ fn serve_connection(
     shutdown: &Arc<AtomicBool>,
     addr: SocketAddr,
 ) {
+    if conn.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+        return;
+    }
     let mut reader = match conn.try_clone() {
         Ok(c) => BufReader::new(c),
         Err(_) => return,
     };
     let mut writer = conn;
     loop {
+        // Wait for the request's first byte: end of stream, an idle peer
+        // outlasting the read timeout, or a dead socket all close the
+        // connection without a response.
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
         let req = match read_request(&mut reader) {
             Ok(Some(r)) => r,
             // Clean keep-alive teardown by the peer.
             Ok(None) => return,
+            Err(e) if is_timeout(&e) => {
+                let _ = write_response(&mut writer, 408, "{\"error\": \"request timeout\"}", false);
+                return;
+            }
             Err(e) => {
                 let body = format!("{{\"error\": \"{}\"}}", e.to_string().replace('"', "'"));
                 let _ = write_response(&mut writer, 400, &body, false);
@@ -259,6 +287,15 @@ fn serve_connection(
             return;
         }
     }
+}
+
+/// Whether a read error is the connection's read timeout expiring
+/// (`WouldBlock` on Unix, `TimedOut` on Windows).
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 fn route(

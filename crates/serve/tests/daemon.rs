@@ -1,10 +1,12 @@
 //! End-to-end daemon tests: golden byte-identity against the library
-//! path, warm-pass cache behavior, protocol errors, and graceful
-//! shutdown.
+//! path, warm-pass cache behavior, protocol errors, slow peers, and
+//! graceful shutdown.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rtpf_cache::CacheConfig;
 use rtpf_engine::{
@@ -12,7 +14,7 @@ use rtpf_engine::{
     ServiceRequest,
 };
 use rtpf_serve::http::{request, ClientResponse};
-use rtpf_serve::{encode_request, Daemon, DaemonConfig};
+use rtpf_serve::{encode_request, Daemon, DaemonConfig, READ_TIMEOUT};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -185,4 +187,63 @@ fn graceful_shutdown_drains_and_stops_accepting() {
         request(addr.as_str(), "/healthz", None, Duration::from_secs(2)).is_err(),
         "a drained daemon must not serve new connections"
     );
+}
+
+/// Opens a connection and gives the daemon time to hand it to a worker,
+/// so connections opened later queue behind it.
+fn connect_first(addr: &str) -> TcpStream {
+    let conn = TcpStream::connect(addr).expect("connects");
+    thread::sleep(Duration::from_millis(200));
+    conn
+}
+
+#[test]
+fn an_idle_peer_cannot_wedge_the_only_worker() {
+    let server = Running::start(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let idle = connect_first(&server.addr);
+    let deadline = READ_TIMEOUT + Duration::from_secs(2);
+    let t0 = Instant::now();
+    let resp = request(server.addr.as_str(), "/healthz", None, deadline)
+        .expect("healthz answers behind an idle peer");
+    assert_eq!(resp.status, 200);
+    assert!(
+        t0.elapsed() < deadline,
+        "healthz took {:?} behind an idle peer",
+        t0.elapsed()
+    );
+    // The idle peer was closed without a response.
+    let mut idle = idle;
+    idle.set_read_timeout(Some(TIMEOUT)).expect("sets timeout");
+    let mut got = Vec::new();
+    idle.read_to_end(&mut got)
+        .expect("server closed the idle peer");
+    assert!(
+        got.is_empty(),
+        "idle peer got {:?}",
+        String::from_utf8_lossy(&got)
+    );
+
+    // A drain completes while an idle peer holds the only worker.
+    let _attached = connect_first(&server.addr);
+    server.shutdown();
+}
+
+#[test]
+fn a_request_stalled_partway_gets_408() {
+    let server = Running::start(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let mut conn = TcpStream::connect(server.addr.as_str()).expect("connects");
+    conn.write_all(b"GET /healthz HTTP/1.1\r\nhost: rtpfd\r\n")
+        .expect("sends a partial head");
+    conn.set_read_timeout(Some(TIMEOUT)).expect("sets timeout");
+    let mut got = String::new();
+    conn.read_to_string(&mut got).expect("reads the response");
+    assert!(got.starts_with("HTTP/1.1 408 "), "got {got:?}");
+    assert_eq!(server.get("/healthz").status, 200);
+    server.shutdown();
 }

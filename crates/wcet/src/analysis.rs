@@ -323,9 +323,13 @@ impl WcetAnalysis {
         // incremental step.
         let cheap_class = cls.class;
         let mut class = cheap_class.clone();
+        // Classify already built the lineage topology; refinement and
+        // the L2 pass read their back-edge-restored adjacency from it.
+        let graph = classify::topology(&cache, &vivu);
         let t_refine = Instant::now();
         let (marks, refine_stats) = refine::refine_classification(
             &vivu,
+            &graph,
             &acfg,
             config,
             refine,
@@ -333,6 +337,11 @@ impl WcetAnalysis {
             &cls.sigs,
             &cls.mem_block,
             &mut class,
+            // Only incremental passes use the per-set memo. A from-scratch
+            // analysis starts a fresh lineage cache, so it has nothing to
+            // look up, and storing would make every standalone analysis
+            // (and each artifact holding one) carry memo entries.
+            incremental.then_some(&*cache),
             threads,
         );
         let refine_ns = t_refine.elapsed().as_nanos() as u64;
@@ -350,7 +359,7 @@ impl WcetAnalysis {
         };
         let (l2_class, l2_cac) = match &l2_cfg {
             Some(l2cfg) => {
-                let r = l2::classify_l2(&vivu, &acfg, l2cfg, &class, &cls.sigs)?;
+                let r = l2::classify_l2(&vivu, &graph, &acfg, l2cfg, &class, &cls.sigs)?;
                 (r.class, r.cac)
             }
             None => (Vec::new(), Vec::new()),
@@ -547,6 +556,14 @@ impl WcetAnalysis {
                 result.cheap_class, full.cheap_class,
                 "incremental re-analysis diverged from from-scratch cheap classification"
             );
+            debug_assert_eq!(
+                result.marks, full.marks,
+                "incremental re-analysis diverged from from-scratch refinement marks"
+            );
+            debug_assert_eq!(
+                result.refine_stats, full.refine_stats,
+                "incremental re-analysis diverged from from-scratch refinement stats"
+            );
         }
 
         Ok(result)
@@ -617,6 +634,12 @@ impl WcetAnalysis {
     #[inline]
     pub fn timing(&self) -> &MemTiming {
         &self.timing
+    }
+
+    /// The evaluation memo shared by this analysis's lineage.
+    #[inline]
+    pub fn lineage_cache(&self) -> &AnalysisCache {
+        &self.cache
     }
 
     /// Per-phase timings and work counters for this analysis run.

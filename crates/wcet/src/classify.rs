@@ -332,6 +332,12 @@ fn condensation(n: usize, succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
     comps
 }
 
+/// The lineage's fixpoint topology, built on first use. The refinement
+/// stage and the L2 pass read their adjacency from it too.
+pub(crate) fn topology(cache: &AnalysisCache, vivu: &VivuGraph) -> Arc<Topology> {
+    cache.topology(|| build_topology(vivu))
+}
+
 /// Builds the fixpoint topology of a VIVU graph: adjacency with the
 /// broken back edges restored, and its SCC condensation with members
 /// sorted by topological position. Shared across a lineage via
@@ -832,7 +838,7 @@ fn run_classify(
     // Adjacency (with back edges) and SCC condensation are identical for
     // every analysis of the lineage — fetched from the shared cache,
     // built on the first pass.
-    let top = cache.topology(|| build_topology(vivu));
+    let top = topology(cache, vivu);
 
     let block_shift = config.block_bytes().trailing_zeros();
     // Canonicalize signatures through the lineage cache: a node whose

@@ -23,6 +23,10 @@
 //! *same* pure function on the *same* inputs — identity is by interned
 //! pointer, and the interners map content-equal values to one allocation,
 //! so the fixpoint iterates are bit-identical to an uncached run.
+//!
+//! The cache also memoizes the per-set explorations of the refinement
+//! stage (DESIGN.md §12), keyed by each set's full projection of the
+//! lineage's references; see [`crate::refine`].
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -32,6 +36,7 @@ use rtpf_cache::{Classification, SharedInterner, StatePair};
 use rtpf_isa::MemBlockId;
 
 use crate::classify::WorkerState;
+use crate::refine::SetOutcome;
 
 /// A node's touched-block signature: for every reference in program
 /// order, the block it fetches and the block its prefetch targets (if it
@@ -106,6 +111,28 @@ fn sig_hash(sig: &[(MemBlockId, Option<MemBlockId>)]) -> u64 {
     }
     h
 }
+
+/// Streaming [`mix`] hasher for the refinement memo's word-slice keys
+/// (`[u64]` hashes as a length prefix plus its raw bytes).
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = mix(self.0, u64::from_le_bytes(word));
+        }
+    }
+}
+
+/// Refinement memo: a set's projection key → its exploration outcome.
+/// Keys compare by full content (the hash only picks the bucket).
+type RefineMemo = HashMap<Box<[u64]>, Arc<SetOutcome>, BuildHasherDefault<WordHasher>>;
 
 /// Open-addressed map on pre-mixed 64-bit keys: one value per slot, and
 /// the astronomically rare distinct-key hash collision linear-probes to
@@ -275,6 +302,10 @@ pub struct AnalysisCache {
     /// vectors (and the grown word/merge buffers inside) removes five
     /// allocations plus their zero-fill from every pass.
     scratch: Mutex<Vec<WorkerState>>,
+    /// Per-set refinement outcomes of this lineage (see
+    /// [`crate::refine`]); emptied by
+    /// [`clear_refine_memo`](AnalysisCache::clear_refine_memo).
+    refine: Mutex<RefineMemo>,
 }
 
 impl AnalysisCache {
@@ -285,6 +316,7 @@ impl AnalysisCache {
             memo: std::array::from_fn(|_| Mutex::new(PreMap::default())),
             topo: OnceLock::new(),
             scratch: Mutex::new(Vec::new()),
+            refine: Mutex::new(RefineMemo::default()),
         }
     }
 
@@ -385,6 +417,34 @@ impl AnalysisCache {
             .lock()
             .expect("analysis cache poisoned")
             .push(ws);
+    }
+
+    /// A prior exploration of the set whose projection is `key`.
+    pub(crate) fn refine_lookup(&self, key: &[u64]) -> Option<Arc<SetOutcome>> {
+        self.refine
+            .lock()
+            .expect("analysis cache poisoned")
+            .get(key)
+            .cloned()
+    }
+
+    /// Records the exploration outcome of the set projected to `key`.
+    pub(crate) fn refine_store(&self, key: Vec<u64>, outcome: Arc<SetOutcome>) {
+        self.refine
+            .lock()
+            .expect("analysis cache poisoned")
+            .insert(key.into_boxed_slice(), outcome);
+    }
+
+    /// Drops every memoized refinement outcome. Lookups after this simply
+    /// explore again, so clearing never changes a result.
+    pub fn clear_refine_memo(&self) {
+        *self.refine.lock().expect("analysis cache poisoned") = RefineMemo::default();
+    }
+
+    /// Number of memoized per-set refinement outcomes.
+    pub fn refine_memo_len(&self) -> usize {
+        self.refine.lock().expect("analysis cache poisoned").len()
     }
 
     /// Number of memoized node evaluations.
