@@ -63,6 +63,8 @@ struct Record {
     /// Transfer (classify + fold) CPU-time component of the fixpoint.
     transfer_ms: f64,
     refine_ms: f64,
+    /// Second-level pass; 0 in single-level runs.
+    l2_ms: f64,
     ipet_ms: f64,
     relocation_ms: f64,
     optimize_ms: f64,
@@ -80,7 +82,7 @@ struct Record {
     l2: Option<String>,
 }
 
-const NUM_FIELDS: [&str; 14] = [
+const NUM_FIELDS: [&str; 15] = [
     "wall_ms",
     "units",
     "vivu_ms",
@@ -88,6 +90,7 @@ const NUM_FIELDS: [&str; 14] = [
     "join_ms",
     "transfer_ms",
     "refine_ms",
+    "l2_ms",
     "ipet_ms",
     "relocation_ms",
     "optimize_ms",
@@ -98,7 +101,7 @@ const NUM_FIELDS: [&str; 14] = [
 ];
 
 impl Record {
-    fn fields(&self) -> [f64; 14] {
+    fn fields(&self) -> [f64; 15] {
         [
             self.wall_ms,
             self.units,
@@ -107,6 +110,7 @@ impl Record {
             self.join_ms,
             self.transfer_ms,
             self.refine_ms,
+            self.l2_ms,
             self.ipet_ms,
             self.relocation_ms,
             self.optimize_ms,
@@ -117,7 +121,7 @@ impl Record {
         ]
     }
 
-    fn fields_mut(&mut self) -> [&mut f64; 14] {
+    fn fields_mut(&mut self) -> [&mut f64; 15] {
         [
             &mut self.wall_ms,
             &mut self.units,
@@ -126,6 +130,7 @@ impl Record {
             &mut self.join_ms,
             &mut self.transfer_ms,
             &mut self.refine_ms,
+            &mut self.l2_ms,
             &mut self.ipet_ms,
             &mut self.relocation_ms,
             &mut self.optimize_ms,
@@ -161,7 +166,7 @@ impl Record {
         json_num(obj, "wall_ms")?;
         for (name, slot) in NUM_FIELDS.iter().zip(r.fields_mut()) {
             // Fields added after a baseline was recorded (refine_ms,
-            // join_ms, transfer_ms, probe_ms) read as 0 from older
+            // join_ms, transfer_ms, probe_ms, l2_ms) read as 0 from older
             // committed files.
             *slot = json_num(obj, name).unwrap_or(0.0);
         }
@@ -343,6 +348,7 @@ fn measure(smoke: bool, threads: usize, l2: Option<CacheConfig>) -> Record {
         join_ms: ms(prof.join_ns),
         transfer_ms: ms(prof.transfer_ns),
         refine_ms: ms(prof.refine_ns),
+        l2_ms: ms(prof.l2_ns),
         ipet_ms: ms(prof.ipet_ns),
         relocation_ms: ms(prof.relocation_ns),
         optimize_ms: ms(prof.optimize_ns),
@@ -366,13 +372,14 @@ fn measure(smoke: bool, threads: usize, l2: Option<CacheConfig>) -> Record {
 fn print_record(label: &str, r: &Record) {
     println!(
         "{label:<8} wall {:>10.1} ms | fixpoint {:>9.1} (join {:>7.1} + transfer {:>7.1}) | \
-         refine {:>6.1} | vivu {:>7.1} | ipet {:>7.1} | reloc {:>7.1} | optimize {:>9.1} | \
+         refine {:>6.1} | l2 {:>6.1} | vivu {:>7.1} | ipet {:>7.1} | reloc {:>7.1} | optimize {:>9.1} | \
          simulate {:>8.1} | energy {:>6.1} | probes {:>7.1}",
         r.wall_ms,
         r.fixpoint_ms,
         r.join_ms,
         r.transfer_ms,
         r.refine_ms,
+        r.l2_ms,
         r.vivu_ms,
         r.ipet_ms,
         r.relocation_ms,
@@ -487,6 +494,22 @@ mod tests {
         let parsed = Record::from_json(&r.to_json()).expect("parses");
         assert_eq!(parsed.l2.as_deref(), Some("8:16:16384:lru"));
         assert_eq!(parsed.wall_ms, 12.5);
+    }
+
+    #[test]
+    fn l2_ms_roundtrips_and_reads_zero_when_missing() {
+        let r = Record {
+            wall_ms: 1.0,
+            l2_ms: 7.25,
+            ..Record::default()
+        };
+        let parsed = Record::from_json(&r.to_json()).expect("parses");
+        assert_eq!(parsed.l2_ms, 7.25);
+        // Records written before the L2 pass was timed have no `l2_ms`.
+        let old = r#"{"wall_ms": 100.0, "refine_ms": 2.0, "ipet_ms": 3.0}"#;
+        let parsed = Record::from_json(old).expect("back-compat parse");
+        assert_eq!(parsed.l2_ms, 0.0);
+        assert_eq!(parsed.ipet_ms, 3.0);
     }
 
     #[test]

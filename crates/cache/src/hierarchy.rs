@@ -179,7 +179,11 @@ impl fmt::Display for CacheAccessClassification {
 ///   claim" value; it is never consulted, since the L1 always-hit already
 ///   fixes the cost).
 /// * `Uncertain` — the access may occur: the sound post-state is the
-///   *join* of the untouched state with the updated one. The returned
+///   *join* of the untouched state with the updated one, computed in
+///   place on the accessed set by
+///   [`MustState::join_update`](crate::MustState::join_update) /
+///   [`MayState::join_update`](crate::MayState::join_update) (no state
+///   copy, no fresh join). The returned
 ///   classification is still meaningful — it holds conditionally,
 ///   whenever the access does reach L2, which is exactly when its cost
 ///   is charged.
@@ -196,13 +200,8 @@ pub fn classify_update_l2(
             classification_of(guaranteed, possible)
         }
         CacheAccessClassification::Uncertain => {
-            let guaranteed = state.0.contains(block);
-            let possible = state.1.contains(block);
-            let mut touched = state.clone();
-            touched.0.update(block);
-            touched.1.update(block);
-            state.0 = state.0.join(&touched.0);
-            state.1 = state.1.join(&touched.1);
+            let guaranteed = state.0.join_update(block);
+            let possible = state.1.join_update(block);
             classification_of(guaranteed, possible)
         }
     }

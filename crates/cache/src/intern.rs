@@ -206,6 +206,16 @@ impl SharedInterner {
             .intern_ref_hashed(hash, pair)
     }
 
+    /// Empties every shard (store and counters). Pairs still referenced
+    /// elsewhere stay alive; a later intern of equal content allocates a
+    /// new canonical copy, so only pointer identity with pairs interned
+    /// before the clear is lost.
+    pub fn clear(&self) {
+        for shard in &self.shards {
+            *shard.lock().expect("interner shard poisoned") = StateInterner::default();
+        }
+    }
+
     /// Total intern calls answered from the store, across shards.
     pub fn hits(&self) -> u64 {
         self.shards

@@ -254,6 +254,20 @@ mod tests {
             self.lmay.update(b);
         }
 
+        /// An access that may or may not happen: the packed states take
+        /// the in-place `join_update`, the oracle the literal
+        /// `join(state, update(state))`. Returns the packed kernels'
+        /// pre-access answers (must, may).
+        fn join_update(&mut self, b: MemBlockId) -> (bool, bool) {
+            let mut t = self.lmust.clone();
+            t.update(b);
+            self.lmust = self.lmust.join(&t);
+            let mut t = self.lmay.clone();
+            t.update(b);
+            self.lmay = self.lmay.join(&t);
+            (self.must.join_update(b), self.may.join_update(b))
+        }
+
         fn join(&self, other: &Lockstep) -> Lockstep {
             Lockstep {
                 must: self.must.join(&other.must),
@@ -333,6 +347,66 @@ mod tests {
             }
             let j = a.join(&b);
             j.assert_equivalent(0..96, &format!("{config} final join"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The in-place join-update (the L2 `Uncertain` filter) equals the
+        /// literal join of a state with its updated copy — word for word
+        /// on the packed states, and on every observable of the oracle
+        /// below the packed clamp — and answers `contains` from before
+        /// the access. All three policies at associativity 1 to 256 (64 for
+        /// tree-PLRU); one 256-way LRU set overflows past the clamped must
+        /// window.
+        #[test]
+        fn join_update_equals_join_of_update(
+            ways in 0..5usize,
+            policy in 0..3usize,
+            sets in 0..2usize,
+            // Kinds 0-2 access the state, 3-4 its join partner, 5 joins
+            // them, 6-7 check a join-update.
+            ops in proptest::collection::vec((0u64..1 << 20, 0u32..8), 1..700),
+        ) {
+            let policy = ReplacementPolicy::ALL[policy];
+            let mut assoc = [1u32, 2, 8, 128, 256][ways];
+            if policy == ReplacementPolicy::Plru {
+                assoc = assoc.min(64); // the widest tree-PLRU geometry
+            }
+            let n_sets = [1u32, 4][sets];
+            let config = CacheConfig::new(assoc, 16, assoc * 16 * n_sets)
+                .unwrap()
+                .with_policy(policy)
+                .unwrap();
+            // Half again as many blocks per set as ways, so sets overflow
+            // and both aging-out paths fire.
+            let span = u64::from(n_sets * (assoc + assoc / 2 + 1));
+            let oracle_exact = assoc <= crate::packed::MAX_AGE;
+            let mut a = Lockstep::new(&config);
+            let mut b = Lockstep::new(&config);
+            for (i, &(raw, kind)) in ops.iter().enumerate() {
+                let blk = MemBlockId(raw % span);
+                match kind {
+                    0..=2 => a.update(blk),
+                    3 | 4 => b.update(blk),
+                    5 => a = a.join(&b),
+                    _ => {
+                        let (must, may) = (a.must.clone(), a.may.clone());
+                        let (mut tmust, mut tmay) = (must.clone(), may.clone());
+                        tmust.update(blk);
+                        tmay.update(blk);
+                        let (hit, maybe) = a.join_update(blk);
+                        prop_assert_eq!(hit, must.contains(blk), "{} op {}: must answer", config, i);
+                        prop_assert_eq!(maybe, may.contains(blk), "{} op {}: may answer", config, i);
+                        prop_assert_eq!(a.must, must.join(&tmust), "{} op {}: must state", config, i);
+                        prop_assert_eq!(a.may, may.join(&tmay), "{} op {}: may state", config, i);
+                        if oracle_exact {
+                            a.assert_equivalent(std::iter::once(blk.0), &format!("{config} op {i}"));
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -184,6 +184,31 @@ impl MayState {
         }
     }
 
+    /// `*self = self.join(&{ let mut t = self.clone(); t.update(block); t })`
+    /// in place: the sound post-state of an access that *may* happen
+    /// (the L2 `Uncertain` filter). Returns whether `block` might have
+    /// been cached before the access, like
+    /// [`update_classify`](MayState::update_classify).
+    ///
+    /// The union keeps every word of `self` at its minimal age, and the
+    /// update only ever raises ages or drops words besides `block`'s, so
+    /// the closed form (DESIGN.md §14) is: `block` gets age 0, inserted if
+    /// absent, and nothing else changes — in bounded and unbounded
+    /// domains alike.
+    pub fn join_update(&mut self, block: MemBlockId) -> bool {
+        let key = packed::sort_key(self.n_sets, block.0);
+        match packed::find(&self.words, key) {
+            Ok(i) => {
+                self.words[i] = key << packed::AGE_BITS;
+                true
+            }
+            Err(pos) => {
+                self.words.insert(pos, key << packed::AGE_BITS);
+                false
+            }
+        }
+    }
+
     /// Compact-bumps run words in `[start, hi)` down to `w` — aging
     /// same-set words, dropping those that reach `assoc` — then closes the
     /// remaining gap against the state tail (at most one tail move).

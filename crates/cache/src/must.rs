@@ -175,6 +175,45 @@ impl MustState {
         }
     }
 
+    /// `*self = self.join(&{ let mut t = self.clone(); t.update(block); t })`
+    /// in place: the sound post-state of an access that *may* happen
+    /// (the L2 `Uncertain` filter). Returns whether `block` was
+    /// guaranteed cached before the access, like
+    /// [`update_classify`](MustState::update_classify).
+    ///
+    /// The update touches only `block`'s set and the join keeps every
+    /// identical word, so the result differs from `self` only in that
+    /// set's run, where it has a closed form (DESIGN.md §14): on a hit at
+    /// age `h` the same-set blocks younger than `h` age by one and `block`
+    /// keeps `h` (`max(h, 0)`); on a miss the set ages by one and drops
+    /// what reaches the associativity, and `block` stays absent (the
+    /// untouched side lacks it).
+    pub fn join_update(&mut self, block: MemBlockId) -> bool {
+        let key = packed::sort_key(self.n_sets, block.0);
+        let set_mask = u64::from(self.n_sets) - 1;
+        let set = block.0 & set_mask;
+        match packed::find(&self.words, key) {
+            Ok(i) => {
+                let cutoff = self.words[i] & packed::AGE_MASK;
+                let (lo, hi) = packed::group_range(&self.words, key, Ok(i));
+                for r in lo..hi {
+                    let word = self.words[r];
+                    // `block` itself sits at the cutoff, so it is skipped.
+                    if packed::block_of(word) & set_mask == set && word & packed::AGE_MASK < cutoff
+                    {
+                        self.words[r] = word + 1;
+                    }
+                }
+                true
+            }
+            Err(ins) => {
+                let (lo, hi) = packed::group_range(&self.words, key, Err(ins));
+                self.compact_tail(lo, hi, lo, set, set_mask, u64::from(self.assoc));
+                false
+            }
+        }
+    }
+
     /// Compact-bumps run words in `[start, hi)` down to `w` — aging
     /// same-set words, dropping those that reach `assoc` — then closes the
     /// remaining gap against the state tail (at most one tail move).

@@ -143,8 +143,9 @@ impl Optimizer {
     /// re-analyses through [`WcetAnalysis::reanalyze_after_insert`], which
     /// provably equals the from-scratch analysis (debug builds
     /// cross-check) and reuses the lineage's node-evaluation and per-set
-    /// refinement memos. The refinement memo is emptied before returning,
-    /// so the result's analyses hold only the node-evaluation memo.
+    /// refinement memos. Both memos (and the lineage's interned states)
+    /// are emptied before returning, so the result's analyses hold only
+    /// their own states.
     ///
     /// # Errors
     ///
@@ -214,8 +215,10 @@ impl Optimizer {
             }
         }
 
-        before.lineage_cache().clear_refine_memo();
-        cur.lineage_cache().clear_refine_memo();
+        // Nothing reads the lineage memos after the run, and each artifact
+        // would otherwise keep every candidate's evaluations alive.
+        before.lineage_cache().clear_memos();
+        cur.lineage_cache().clear_memos();
         report.wcet_after = cur.tau_w();
         report.misses_after = cur.wcet_misses();
         debug_assert!(report.wcet_after <= report.wcet_before);

@@ -157,3 +157,33 @@ fn explicit_lru_policy_is_byte_identical_to_the_default() {
         "explicit --policy lru diverged from the pre-refactor CSV"
     );
 }
+
+#[test]
+fn two_level_units_match_checked_in_l2_sweep_rows() {
+    // The L2 pass feeds `t_w` and with it every WCET, ACET and energy
+    // column of a two-level unit; these rows pin its output at the
+    // smallest and the largest swept L2.
+    let reference = std::fs::read_to_string(rtpf_experiments::l2_cache_path())
+        .expect("checked-in results/sweep-l2.csv present");
+    let points = rtpf_experiments::l2_sweep_points();
+    for name in ["adpcm", "fft1"] {
+        let b = rtpf_suite::by_name(name).expect("suite program");
+        for k in ["l2c2048", "l2c32768"] {
+            let (_, econfig) = points
+                .iter()
+                .find(|(id, _)| id == k)
+                .expect("L2 sweep point");
+            let unit = rtpf_engine::Engine::new(econfig.clone().with_threads(1))
+                .unit(name, k, &b.program)
+                .expect("evaluates");
+            let csv = rtpf_experiments::l2_to_csv(&[(econfig.l2().copied(), (*unit).clone())]);
+            let line = csv.lines().nth(1).expect("one data row");
+            let want_prefix = format!("{name},{k},");
+            let want = reference
+                .lines()
+                .find(|l| l.starts_with(&want_prefix))
+                .unwrap_or_else(|| panic!("no L2 sweep row for {name} {k}"));
+            assert_eq!(line, want, "unit {name} {k} diverged from the L2 sweep row");
+        }
+    }
+}

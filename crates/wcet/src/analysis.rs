@@ -357,6 +357,7 @@ impl WcetAnalysis {
         } else {
             hierarchy.l2().copied()
         };
+        let t_l2 = Instant::now();
         let (l2_class, l2_cac) = match &l2_cfg {
             Some(l2cfg) => {
                 let r = l2::classify_l2(&vivu, &graph, &acfg, l2cfg, &class, &cls.sigs)?;
@@ -364,6 +365,7 @@ impl WcetAnalysis {
             }
             None => (Vec::new(), Vec::new()),
         };
+        let l2_ns = t_l2.elapsed().as_nanos() as u64;
 
         // Per-reference worst-case access time, from the refined view.
         // With an L2 level, an L1 miss the L2 analysis proves always-hit
@@ -407,6 +409,7 @@ impl WcetAnalysis {
             join_ns: cls.join_ns,
             transfer_ns: cls.transfer_ns,
             refine_ns,
+            l2_ns,
             ipet_ns,
             relocation_ns: 0,
             fixpoint_evals: cls.evals,
@@ -563,6 +566,18 @@ impl WcetAnalysis {
             debug_assert_eq!(
                 result.refine_stats, full.refine_stats,
                 "incremental re-analysis diverged from from-scratch refinement stats"
+            );
+            debug_assert_eq!(
+                result.l2_class, full.l2_class,
+                "incremental re-analysis diverged from from-scratch L2 classification"
+            );
+            debug_assert_eq!(
+                result.l2_cac, full.l2_cac,
+                "incremental re-analysis diverged from from-scratch L2 access filter"
+            );
+            debug_assert_eq!(
+                result.t_w, full.t_w,
+                "incremental re-analysis diverged from from-scratch access times"
             );
         }
 

@@ -72,26 +72,28 @@ pub(crate) fn classify_l2(
         .map(|&c| CacheAccessClassification::from_l1(c))
         .collect();
 
-    let mut pos = vec![0usize; n];
-    for (k, nid) in vivu.topo().iter().enumerate() {
-        pos[nid.index()] = k;
-    }
-
-    let seed = no_info(l2);
     let mut outs: Vec<Option<Arc<StatePair>>> = vec![None; n];
     let mut work: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::with_capacity(n);
     let mut pending = vec![false; n];
-    for &nid in vivu.topo() {
-        work.push(Reverse((pos[nid.index()], nid.index())));
+    let mut pos = vec![0usize; n];
+    for (k, nid) in vivu.topo().iter().enumerate() {
+        pos[nid.index()] = k;
+        work.push(Reverse((k, nid.index())));
         pending[nid.index()] = true;
     }
 
+    let mut class = vec![Classification::Unclassified; acfg.len()];
     let mut ins: Vec<Arc<StatePair>> = Vec::new();
     let mut cursors: Vec<usize> = Vec::new();
-    let mut scratch = seed.clone();
+    let mut scratch = no_info(l2);
     let limit = n.saturating_add(1).saturating_mul(EVALS_PER_NODE);
     let mut evals = 0usize;
 
+    // Every evaluation records its node's classes. The last evaluation of
+    // a node saw its predecessors' final out-states: any later change to
+    // one (a first computation included) re-queues the node. So the
+    // classes left standing at convergence are exactly those of the
+    // converged in-states, with no separate recording pass.
     while let Some(Reverse((_, i))) = work.pop() {
         pending[i] = false;
         evals += 1;
@@ -107,22 +109,18 @@ pub(crate) fn classify_l2(
                 .filter_map(|&p| outs[p as usize].clone()),
         );
         join_pairs_into(&mut scratch, &ins, &mut cursors);
-
-        let mut state = scratch.clone();
         transfer(
-            &mut state,
+            &mut scratch,
             &sigs[i],
             acfg.refs_of_node(NodeId(i as u32)),
             &cac,
-            None,
+            &mut class,
         );
 
-        let changed = match &outs[i] {
-            Some(prev) => **prev != state,
-            None => true,
-        };
-        if changed {
-            outs[i] = Some(Arc::new(state));
+        // The transfer ran in the reused scratch; only a changed
+        // out-state is copied out.
+        if outs[i].as_deref() != Some(&scratch) {
+            outs[i] = Some(Arc::new(scratch.clone()));
             for &s in graph.succs(i) {
                 let s = s as usize;
                 if !pending[s] {
@@ -133,47 +131,21 @@ pub(crate) fn classify_l2(
         }
     }
 
-    // Converged: one recording pass computes each node's final in-state
-    // from the settled outs and classifies its references against it.
-    let mut class = vec![Classification::Unclassified; acfg.len()];
-    for &nid in vivu.topo() {
-        let i = nid.index();
-        ins.clear();
-        ins.extend(
-            graph
-                .preds(i)
-                .iter()
-                .filter_map(|&p| outs[p as usize].clone()),
-        );
-        join_pairs_into(&mut scratch, &ins, &mut cursors);
-        let mut state = scratch.clone();
-        transfer(
-            &mut state,
-            &sigs[i],
-            acfg.refs_of_node(nid),
-            &cac,
-            Some(&mut class),
-        );
-    }
-
     Ok(L2Result { class, cac })
 }
 
-/// Walks one node's references through the filtered L2 update, optionally
+/// Walks one node's references through the filtered L2 update,
 /// recording per-reference classifications.
 fn transfer(
     state: &mut StatePair,
     sig: &NodeSig,
     refs: &[crate::acfg::RefId],
     cac: &[CacheAccessClassification],
-    mut record: Option<&mut Vec<Classification>>,
+    class: &mut [Classification],
 ) {
     debug_assert_eq!(sig.len(), refs.len());
     for (&(own, pf), &rid) in sig.iter().zip(refs) {
-        let class = classify_update_l2(state, own, cac[rid.index()]);
-        if let Some(out) = record.as_deref_mut() {
-            out[rid.index()] = class;
-        }
+        class[rid.index()] = classify_update_l2(state, own, cac[rid.index()]);
         if let Some(target) = pf {
             // The target reaches L2 iff it is not L1-resident at the
             // prefetch point, which no level-1 fact pins down: join-update.

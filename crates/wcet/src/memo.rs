@@ -303,8 +303,7 @@ pub struct AnalysisCache {
     /// allocations plus their zero-fill from every pass.
     scratch: Mutex<Vec<WorkerState>>,
     /// Per-set refinement outcomes of this lineage (see
-    /// [`crate::refine`]); emptied by
-    /// [`clear_refine_memo`](AnalysisCache::clear_refine_memo).
+    /// [`crate::refine`]).
     refine: Mutex<RefineMemo>,
 }
 
@@ -436,10 +435,20 @@ impl AnalysisCache {
             .insert(key.into_boxed_slice(), outcome);
     }
 
-    /// Drops every memoized refinement outcome. Lookups after this simply
-    /// explore again, so clearing never changes a result.
-    pub fn clear_refine_memo(&self) {
+    /// Drops everything the lineage memoized — node evaluations, interned
+    /// signatures and states, pooled solver scratch, and per-set
+    /// refinement outcomes — keeping only the topology (a function of the
+    /// shared VIVU graph alone). A later pass on the lineage finds no
+    /// entry and no pointer-identity shortcut, so it evaluates, interns
+    /// and explores afresh: clearing never changes a result.
+    pub fn clear_memos(&self) {
+        for shard in &self.memo {
+            *shard.lock().expect("analysis cache poisoned") = PreMap::default();
+        }
+        *self.sigs.lock().expect("analysis cache poisoned") = PreMap::default();
+        *self.scratch.lock().expect("analysis cache poisoned") = Vec::new();
         *self.refine.lock().expect("analysis cache poisoned") = RefineMemo::default();
+        self.interner.clear();
     }
 
     /// Number of memoized per-set refinement outcomes.

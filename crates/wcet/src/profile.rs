@@ -30,6 +30,9 @@ pub struct AnalysisProfile {
     /// Exact per-set refinement of unclassified references (DESIGN.md
     /// §12); 0 under LRU or with refinement disabled.
     pub refine_ns: u64,
+    /// Second-level (L2) filtered must/may pass (DESIGN.md §14); 0
+    /// without an L2.
+    pub l2_ns: u64,
     /// IPET longest-path solve and per-reference count extraction.
     pub ipet_ns: u64,
     /// Relocation / layout re-anchoring performed by the optimizer between
@@ -80,6 +83,7 @@ impl AnalysisProfile {
         self.join_ns += other.join_ns;
         self.transfer_ns += other.transfer_ns;
         self.refine_ns += other.refine_ns;
+        self.l2_ns += other.l2_ns;
         self.ipet_ns += other.ipet_ns;
         self.relocation_ns += other.relocation_ns;
         self.fixpoint_evals += other.fixpoint_evals;
@@ -101,7 +105,12 @@ impl AnalysisProfile {
 
     /// Total analysis time across the recorded phases.
     pub fn total_ns(&self) -> u64 {
-        self.vivu_ns + self.fixpoint_ns + self.refine_ns + self.ipet_ns + self.relocation_ns
+        self.vivu_ns
+            + self.fixpoint_ns
+            + self.refine_ns
+            + self.l2_ns
+            + self.ipet_ns
+            + self.relocation_ns
     }
 
     /// Fraction of summed nodes that incremental re-analysis skipped.
@@ -129,12 +138,13 @@ impl fmt::Display for AnalysisProfile {
         writeln!(
             f,
             "phases:   vivu {:.2} ms | fixpoint {:.2} ms (join {:.2} + transfer {:.2}) | \
-             refine {:.2} ms | ipet {:.2} ms | relocation {:.2} ms",
+             refine {:.2} ms | l2 {:.2} ms | ipet {:.2} ms | relocation {:.2} ms",
             ms(self.vivu_ns),
             ms(self.fixpoint_ns),
             ms(self.join_ns),
             ms(self.transfer_ns),
             ms(self.refine_ns),
+            ms(self.l2_ns),
             ms(self.ipet_ns),
             ms(self.relocation_ns)
         )?;
@@ -172,8 +182,9 @@ mod tests {
         let mut a = AnalysisProfile {
             vivu_ns: 1,
             fixpoint_ns: 2,
-            ipet_ns: 3,
-            relocation_ns: 4,
+            l2_ns: 3,
+            ipet_ns: 4,
+            relocation_ns: 5,
             fixpoint_evals: 5,
             memo_hits: 0,
             states_interned: 6,
@@ -191,7 +202,7 @@ mod tests {
             ..Default::default()
         };
         a.add(&b);
-        assert_eq!(a.total_ns(), 10);
+        assert_eq!(a.total_ns(), 15);
         assert_eq!(a.nodes_total, 20);
         assert_eq!(a.nodes_reanalyzed, 12);
         assert!((a.reuse_fraction() - 0.4).abs() < 1e-12);
@@ -202,6 +213,7 @@ mod tests {
         let p = AnalysisProfile::default();
         let s = p.to_string();
         assert!(s.contains("fixpoint"));
+        assert!(s.contains("| l2 "));
         assert!(s.contains("interned"));
     }
 }
