@@ -40,8 +40,7 @@ pub mod transform;
 pub use diag::{Code, Diagnostic, DiagnosticSink, Level, Severity, SeverityConfig, Span};
 pub use ir::{audit_ir, audit_layout};
 pub use soundness::{
-    audit_hierarchy_soundness, audit_hierarchy_soundness_forced, audit_soundness,
-    audit_soundness_artifact, audit_soundness_forced, audit_soundness_with, SoundnessOptions,
+    audit_soundness, audit_soundness_artifact, audit_soundness_forced, SoundnessOptions,
     SoundnessSummary,
 };
 pub use transform::{audit_transform, TransformSummary};

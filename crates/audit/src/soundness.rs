@@ -3,9 +3,9 @@
 //! The must/may classification promises: an *always-hit* reference hits in
 //! **every** execution, an *always-miss* reference never hits. Following
 //! Touzeau et al.'s cross-checking methodology, this pass drives the
-//! concrete LRU cache ([`ConcreteState`]) down feasible paths of the VIVU
-//! context graph — the exact graph the abstract fixpoint ran on — and
-//! compares per-reference outcomes:
+//! concrete LRU cache ([`ConcreteState`](rtpf_cache::ConcreteState)) down
+//! feasible paths of the VIVU context graph — the exact graph the abstract
+//! fixpoint ran on — and compares per-reference outcomes:
 //!
 //! * an always-hit reference that concretely misses is a genuine
 //!   soundness bug (RTPF020, deny);
@@ -40,11 +40,11 @@
 use std::collections::HashMap;
 
 use rtpf_cache::{
-    CacheAccessClassification, CacheConfig, Classification, ConcreteHierarchy, HierarchyConfig,
+    CacheAccessClassification, Classification, ConcreteHierarchy, HierarchyConfig,
     HierarchyOutcome, MemTiming, RefineMark,
 };
-use rtpf_isa::{BlockId, Layout, Program};
-use rtpf_wcet::{AnalysisError, NodeId, RefId, WcetAnalysis};
+use rtpf_isa::{BlockId, Program};
+use rtpf_wcet::{AnalysisError, AnalysisOptions, NodeId, RefId, WcetAnalysis};
 
 use crate::diag::{Code, DiagnosticSink, Span};
 
@@ -98,109 +98,52 @@ pub struct SoundnessSummary {
     pub cheap_precision_score: f64,
 }
 
-/// Runs the soundness audit of `p` under `config`/`timing`.
-///
-/// # Errors
-///
-/// Fails when the program cannot be analysed at all.
-pub fn audit_soundness(
-    p: &Program,
-    config: &CacheConfig,
-    timing: &MemTiming,
-    sink: &mut DiagnosticSink,
-    opts: &SoundnessOptions,
-) -> Result<SoundnessSummary, AnalysisError> {
-    audit_soundness_with(p, config, timing, sink, opts, |_, c| c)
-}
-
-/// [`audit_soundness`] with a classification override, the seam that lets
-/// tests prove the audit catches a broken classifier: `reclass` sees each
-/// reference's analysed classification and returns the one to audit.
-///
-/// # Errors
-///
-/// Fails when the program cannot be analysed at all.
-pub fn audit_soundness_with(
-    p: &Program,
-    config: &CacheConfig,
-    timing: &MemTiming,
-    sink: &mut DiagnosticSink,
-    opts: &SoundnessOptions,
-    reclass: impl Fn(RefId, Classification) -> Classification,
-) -> Result<SoundnessSummary, AnalysisError> {
-    audit_soundness_forced(p, config, timing, sink, opts, |r, c, m| (reclass(r, c), m))
-}
-
-/// [`audit_soundness_with`] with the refinement mark exposed and
-/// overridable as well: the seam that lets tests prove the audit catches
-/// a corrupted *refinement* (RTPF040/RTPF042), not just a corrupted cheap
-/// classifier.
-///
-/// # Errors
-///
-/// Fails when the program cannot be analysed at all.
-pub fn audit_soundness_forced(
-    p: &Program,
-    config: &CacheConfig,
-    timing: &MemTiming,
-    sink: &mut DiagnosticSink,
-    opts: &SoundnessOptions,
-    reclass: impl Fn(RefId, Classification, RefineMark) -> (Classification, RefineMark),
-) -> Result<SoundnessSummary, AnalysisError> {
-    let a = WcetAnalysis::analyze(p, config, timing)?;
-    let obs = observe(p, &a, &a.hierarchy(), opts);
-    Ok(compare(p, &a, &obs, sink, reclass, |_, c, cac| (c, cac)))
-}
-
-/// Runs the soundness audit of `p` under a full cache hierarchy: the
-/// walks replay the exact two-level semantics and the per-level
+/// Runs the soundness audit of `p` under a cache hierarchy (a bare
+/// [`CacheConfig`](rtpf_cache::CacheConfig) is the single-level one): the
+/// walks replay the exact hierarchy semantics and the per-level
 /// classifications (L1 and, when present, L2 plus its L1-outcome filter)
 /// are each cross-checked against the concrete outcomes.
 ///
 /// # Errors
 ///
 /// Fails when the program cannot be analysed at all.
-pub fn audit_hierarchy_soundness(
+pub fn audit_soundness(
     p: &Program,
-    hierarchy: &HierarchyConfig,
+    hierarchy: impl Into<HierarchyConfig>,
     timing: &MemTiming,
     sink: &mut DiagnosticSink,
     opts: &SoundnessOptions,
 ) -> Result<SoundnessSummary, AnalysisError> {
-    audit_hierarchy_soundness_forced(p, hierarchy, timing, sink, opts, |_, c, cac| (c, cac))
+    let a = WcetAnalysis::analyze(p, &AnalysisOptions::new(hierarchy, *timing))?;
+    Ok(audit_soundness_artifact(p, &a, sink, opts))
 }
 
-/// [`audit_hierarchy_soundness`] with an L2 classification override, the
-/// seam that lets tests prove the audit catches a broken second-level
-/// classifier or a broken L1 filter: `reclass_l2` sees each reference's
-/// analysed L2 classification and L1-outcome filter and returns the pair
-/// to audit.
+/// [`audit_soundness`] with classification overrides, the seam that lets
+/// tests prove the audit catches a broken analysis. `reclass` sees each
+/// reference's L1 classification and refinement mark and returns the pair
+/// to audit (a corrupted cheap classifier, or a corrupted *refinement*:
+/// RTPF040/RTPF042). `reclass_l2` does the same for the L2 classification
+/// and L1-outcome filter (a broken second-level classifier or L1 filter).
 ///
 /// # Errors
 ///
 /// Fails when the program cannot be analysed at all.
-pub fn audit_hierarchy_soundness_forced(
+pub fn audit_soundness_forced(
     p: &Program,
-    hierarchy: &HierarchyConfig,
+    hierarchy: impl Into<HierarchyConfig>,
     timing: &MemTiming,
     sink: &mut DiagnosticSink,
     opts: &SoundnessOptions,
+    reclass: impl Fn(RefId, Classification, RefineMark) -> (Classification, RefineMark),
     reclass_l2: impl Fn(
         RefId,
         Classification,
         CacheAccessClassification,
     ) -> (Classification, CacheAccessClassification),
 ) -> Result<SoundnessSummary, AnalysisError> {
-    let a = WcetAnalysis::analyze_hierarchy(
-        p,
-        Layout::of(p),
-        hierarchy,
-        timing,
-        rtpf_cache::RefineConfig::on(),
-        1,
-    )?;
-    let obs = observe(p, &a, hierarchy, opts);
-    Ok(compare(p, &a, &obs, sink, |_, c, m| (c, m), reclass_l2))
+    let a = WcetAnalysis::analyze(p, &AnalysisOptions::new(hierarchy, *timing))?;
+    let obs = observe(p, &a, opts);
+    Ok(compare(p, &a, &obs, sink, reclass, reclass_l2))
 }
 
 /// Runs the soundness audit over an already-computed analysis artifact
@@ -213,7 +156,7 @@ pub fn audit_soundness_artifact(
     sink: &mut DiagnosticSink,
     opts: &SoundnessOptions,
 ) -> SoundnessSummary {
-    let obs = observe(p, a, &a.hierarchy(), opts);
+    let obs = observe(p, a, opts);
     compare(p, a, &obs, sink, |_, c, m| (c, m), |_, c, cac| (c, cac))
 }
 
@@ -228,12 +171,8 @@ struct Observations {
 }
 
 /// Walks the VIVU graph concretely, accumulating per-reference outcomes.
-fn observe(
-    p: &Program,
-    a: &WcetAnalysis,
-    hierarchy: &HierarchyConfig,
-    opts: &SoundnessOptions,
-) -> Observations {
+fn observe(p: &Program, a: &WcetAnalysis, opts: &SoundnessOptions) -> Observations {
+    let hierarchy = a.hierarchy();
     let g = a.vivu();
     let acfg = a.acfg();
     let two_level = hierarchy.l2().is_some();
@@ -633,6 +572,7 @@ impl SplitMix64 {
 mod tests {
     use super::*;
     use crate::diag::SeverityConfig;
+    use rtpf_cache::CacheConfig;
     use rtpf_isa::shape::Shape;
 
     fn demo() -> Program {
@@ -651,7 +591,7 @@ mod tests {
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
         let s = audit_soundness(
             &p,
-            &config,
+            config,
             &MemTiming::default(),
             &mut sink,
             &SoundnessOptions::default(),
@@ -671,13 +611,14 @@ mod tests {
         let p = demo();
         let config = CacheConfig::new(2, 16, 256).unwrap();
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
-        let s = audit_soundness_with(
+        let s = audit_soundness_forced(
             &p,
-            &config,
+            config,
             &MemTiming::default(),
             &mut sink,
             &SoundnessOptions::default(),
-            |_, _| Classification::AlwaysHit,
+            |_, _, m| (Classification::AlwaysHit, m),
+            |_, c, cac| (c, cac),
         )
         .unwrap();
         assert!(s.unsound > 0);
@@ -695,13 +636,14 @@ mod tests {
         let p = Shape::loop_(16, Shape::code(4)).compile("tight");
         let config = CacheConfig::new(4, 16, 1024).unwrap();
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
-        let s = audit_soundness_with(
+        let s = audit_soundness_forced(
             &p,
-            &config,
+            config,
             &MemTiming::default(),
             &mut sink,
             &SoundnessOptions::default(),
-            |_, _| Classification::AlwaysMiss,
+            |_, _, m| (Classification::AlwaysMiss, m),
+            |_, c, cac| (c, cac),
         )
         .unwrap();
         assert!(s.unsound > 0);
@@ -726,11 +668,12 @@ mod tests {
             let mut sink = DiagnosticSink::new(SeverityConfig::new());
             let s = audit_soundness_forced(
                 &p,
-                &config,
+                config,
                 &MemTiming::default(),
                 &mut sink,
                 &SoundnessOptions::default(),
                 |_, _, _| (forced, RefineMark::Refined),
+                |_, c, cac| (c, cac),
             )
             .unwrap();
             assert!(s.unsound > 0, "{forced:?} corruption must be caught");
@@ -753,11 +696,12 @@ mod tests {
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
         let s = audit_soundness_forced(
             &p,
-            &config,
+            config,
             &MemTiming::default(),
             &mut sink,
             &SoundnessOptions::default(),
             |_, _, _| (Classification::Unclassified, RefineMark::Examined),
+            |_, c, cac| (c, cac),
         )
         .unwrap();
         assert_eq!(s.unsound, 0);
@@ -782,7 +726,7 @@ mod tests {
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
         let s = audit_soundness(
             &p,
-            &config,
+            config,
             &MemTiming::default(),
             &mut sink,
             &SoundnessOptions::default(),
@@ -800,7 +744,7 @@ mod tests {
             let mut sink = DiagnosticSink::new(SeverityConfig::new());
             let s = audit_soundness(
                 &p,
-                &config,
+                config,
                 &MemTiming::default(),
                 &mut sink,
                 &SoundnessOptions::default(),
@@ -821,9 +765,9 @@ mod tests {
     fn honest_two_level_analysis_has_no_unsound_findings() {
         let p = demo();
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
-        let s = audit_hierarchy_soundness(
+        let s = audit_soundness(
             &p,
-            &demo_hierarchy(),
+            demo_hierarchy(),
             &MemTiming::default(),
             &mut sink,
             &SoundnessOptions::default(),
@@ -841,12 +785,13 @@ mod tests {
         // concretely, so the filter lie cannot escape.
         let p = demo();
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
-        let s = audit_hierarchy_soundness_forced(
+        let s = audit_soundness_forced(
             &p,
-            &demo_hierarchy(),
+            demo_hierarchy(),
             &MemTiming::default(),
             &mut sink,
             &SoundnessOptions::default(),
+            |_, c, m| (c, m),
             |_, c, _| (c, CacheAccessClassification::Never),
         )
         .unwrap();
@@ -867,12 +812,13 @@ mod tests {
         // cold walk fills from DRAM, contradicting the claim.
         let p = demo();
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
-        let s = audit_hierarchy_soundness_forced(
+        let s = audit_soundness_forced(
             &p,
-            &demo_hierarchy(),
+            demo_hierarchy(),
             &MemTiming::default(),
             &mut sink,
             &SoundnessOptions::default(),
+            |_, c, m| (c, m),
             |_, _, cac| (Classification::AlwaysHit, cac),
         )
         .unwrap();
@@ -897,12 +843,13 @@ mod tests {
         let l2 = CacheConfig::new(8, 16, 4096).unwrap();
         let hierarchy = HierarchyConfig::from_levels(&[l1, l2]).unwrap();
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
-        let s = audit_hierarchy_soundness_forced(
+        let s = audit_soundness_forced(
             &p,
-            &hierarchy,
+            hierarchy,
             &MemTiming::default(),
             &mut sink,
             &SoundnessOptions::default(),
+            |_, c, m| (c, m),
             |_, _, cac| (Classification::AlwaysMiss, cac),
         )
         .unwrap();
@@ -918,15 +865,15 @@ mod tests {
 
     #[test]
     fn single_level_walks_never_touch_the_l2_counters() {
-        // The degenerate guard at the audit layer: with no L2 the
-        // hierarchy entry point must agree with the single-level one and
-        // raise none of the RTPF05x codes.
+        // The degenerate guard at the audit layer: an L1-only hierarchy
+        // must agree with a bare cache configuration and raise none of
+        // the RTPF05x codes.
         let p = demo();
         let config = CacheConfig::new(2, 16, 256).unwrap();
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
-        let s = audit_hierarchy_soundness(
+        let s = audit_soundness(
             &p,
-            &HierarchyConfig::l1_only(config),
+            HierarchyConfig::l1_only(config),
             &MemTiming::default(),
             &mut sink,
             &SoundnessOptions::default(),
@@ -935,7 +882,7 @@ mod tests {
         let mut sink1 = DiagnosticSink::new(SeverityConfig::new());
         let s1 = audit_soundness(
             &p,
-            &config,
+            config,
             &MemTiming::default(),
             &mut sink1,
             &SoundnessOptions::default(),

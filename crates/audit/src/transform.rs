@@ -42,11 +42,11 @@ pub fn audit_transform(
     sink: &mut DiagnosticSink,
 ) -> Result<TransformSummary, AnalysisError> {
     let name = optimized.name().to_string();
-    let config = after.config();
+    let config = *after.config();
     let timing = *after.timing();
 
     // Theorem 1, both halves, by independent re-analysis.
-    let report = check(original, optimized, after.layout().clone(), config, &timing)?;
+    let report = check(original, optimized, after.layout(), config, &timing)?;
     if !report.equivalent {
         sink.report(
             Code::NotEquivalent,
@@ -221,6 +221,7 @@ mod tests {
     use rtpf_cache::{CacheConfig, MemTiming};
     use rtpf_core::{OptimizeParams, Optimizer};
     use rtpf_isa::shape::Shape;
+    use rtpf_wcet::AnalysisOptions;
 
     fn optimizable() -> Program {
         Shape::seq([
@@ -260,7 +261,7 @@ mod tests {
         let timing = MemTiming::default();
         // "Optimize" by analysing a *different* program.
         let q = Shape::code(40).compile("t");
-        let a = WcetAnalysis::analyze(&q, &config, &timing).unwrap();
+        let a = WcetAnalysis::analyze(&q, &AnalysisOptions::new(config, timing)).unwrap();
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
         let _ = audit_transform(&p, &q, &a, &mut sink).unwrap();
         assert!(sink
@@ -283,7 +284,7 @@ mod tests {
             .unwrap();
         let config = CacheConfig::new(2, 16, 512).unwrap();
         let timing = MemTiming::default();
-        let a = WcetAnalysis::analyze(&q, &config, &timing).unwrap();
+        let a = WcetAnalysis::analyze(&q, &AnalysisOptions::new(config, timing)).unwrap();
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
         let s = audit_transform(&p, &q, &a, &mut sink).unwrap();
         assert_eq!(s.prefetches, 1);

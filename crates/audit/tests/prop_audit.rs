@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 
 use rtpf_audit::{
-    audit_ir, audit_soundness, audit_soundness_with, Code, DiagnosticSink, SeverityConfig,
+    audit_ir, audit_soundness, audit_soundness_forced, Code, DiagnosticSink, SeverityConfig,
     SoundnessOptions,
 };
 use rtpf_cache::{CacheConfig, Classification, MemTiming};
@@ -46,7 +46,7 @@ proptest! {
         audit_ir(&b.program, &mut sink);
         let timing = MemTiming::default();
         let opts = SoundnessOptions { walks: 4, ..SoundnessOptions::default() };
-        audit_soundness(&b.program, &config, &timing, &mut sink, &opts)
+        audit_soundness(&b.program, config, &timing, &mut sink, &opts)
             .expect("suite program analyses");
         prop_assert!(!sink.has_denials(), "{}:\n{}", b.name, sink.render_text());
     }
@@ -61,9 +61,15 @@ proptest! {
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
         let timing = MemTiming::default();
         let opts = SoundnessOptions { walks: 2, ..SoundnessOptions::default() };
-        audit_soundness_with(&b.program, &config, &timing, &mut sink, &opts, |_, _| {
-            Classification::AlwaysHit
-        })
+        audit_soundness_forced(
+            &b.program,
+            config,
+            &timing,
+            &mut sink,
+            &opts,
+            |_, _, m| (Classification::AlwaysHit, m),
+            |_, c, cac| (c, cac),
+        )
         .expect("suite program analyses");
         prop_assert!(fired(&sink, Code::UnsoundAlwaysHit), "{} not caught", b.name);
         prop_assert!(sink.has_denials());
@@ -169,14 +175,22 @@ fn misclassified_single_access_is_caught() {
     let opts = SoundnessOptions::default();
     let mut flipped = std::cell::Cell::new(false);
     let mut sink = DiagnosticSink::new(SeverityConfig::new());
-    audit_soundness_with(&b.program, &config, &timing, &mut sink, &opts, |_, c| {
-        if !flipped.get() && c == Classification::AlwaysMiss {
-            flipped.set(true);
-            Classification::AlwaysHit
-        } else {
-            c
-        }
-    })
+    audit_soundness_forced(
+        &b.program,
+        config,
+        &timing,
+        &mut sink,
+        &opts,
+        |_, c, m| {
+            if !flipped.get() && c == Classification::AlwaysMiss {
+                flipped.set(true);
+                (Classification::AlwaysHit, m)
+            } else {
+                (c, m)
+            }
+        },
+        |_, c, cac| (c, cac),
+    )
     .unwrap();
     let flipped = flipped.get_mut();
     assert!(

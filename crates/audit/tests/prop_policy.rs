@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 
 use rtpf_audit::{
-    audit_soundness, audit_soundness_with, Code, DiagnosticSink, SeverityConfig, SoundnessOptions,
+    audit_soundness, audit_soundness_forced, Code, DiagnosticSink, SeverityConfig, SoundnessOptions,
 };
 use rtpf_cache::{CacheConfig, Classification, MemTiming, ReplacementPolicy};
 
@@ -55,7 +55,7 @@ proptest! {
         let mut sink = DiagnosticSink::new(deny_warnings());
         let timing = MemTiming::default();
         let opts = SoundnessOptions { walks: 4, ..SoundnessOptions::default() };
-        let sum = audit_soundness(&b.program, &config, &timing, &mut sink, &opts)
+        let sum = audit_soundness(&b.program, config, &timing, &mut sink, &opts)
             .expect("suite program analyses");
         prop_assert_eq!(
             sum.unsound, 0,
@@ -78,9 +78,15 @@ proptest! {
         let mut sink = DiagnosticSink::new(SeverityConfig::new());
         let timing = MemTiming::default();
         let opts = SoundnessOptions { walks: 2, ..SoundnessOptions::default() };
-        audit_soundness_with(&b.program, &config, &timing, &mut sink, &opts, |_, _| {
-            Classification::AlwaysHit
-        })
+        audit_soundness_forced(
+            &b.program,
+            config,
+            &timing,
+            &mut sink,
+            &opts,
+            |_, _, m| (Classification::AlwaysHit, m),
+            |_, c, cac| (c, cac),
+        )
         .expect("suite program analyses");
         prop_assert!(
             fired(&sink, Code::UnsoundAlwaysHit),

@@ -13,7 +13,7 @@ use rtpf_cache::{CacheConfig, MemTiming};
 use rtpf_ilp::{Cmp, LinearProgram};
 use rtpf_isa::{MemBlockId, Program};
 use rtpf_sim::LockedContents;
-use rtpf_wcet::{AnalysisError, WcetAnalysis};
+use rtpf_wcet::{AnalysisError, AnalysisOptions, WcetAnalysis};
 
 /// WCET value of each block: Σ over its references of
 /// `(miss − hit) × n^w` — the cycles locking it would save on the WCET
@@ -43,7 +43,7 @@ pub fn select_locked_greedy(
     config: &CacheConfig,
     timing: &MemTiming,
 ) -> Result<LockedContents, AnalysisError> {
-    let a = WcetAnalysis::analyze(p, config, timing)?;
+    let a = WcetAnalysis::analyze(p, &AnalysisOptions::new(*config, *timing))?;
     let values = block_values(&a);
     let mut per_set: HashMap<usize, Vec<(MemBlockId, u64)>> = HashMap::new();
     for (&b, &v) in &values {
@@ -74,7 +74,7 @@ pub fn select_locked_ilp(
     config: &CacheConfig,
     timing: &MemTiming,
 ) -> Result<LockedContents, AnalysisError> {
-    let a = WcetAnalysis::analyze(p, config, timing)?;
+    let a = WcetAnalysis::analyze(p, &AnalysisOptions::new(*config, *timing))?;
     let values = block_values(&a);
     let blocks: Vec<MemBlockId> = {
         let mut v: Vec<MemBlockId> = values.keys().copied().collect();
@@ -124,7 +124,7 @@ pub fn locked_tau_w(
 ) -> Result<u64, AnalysisError> {
     // Reuse the analysis for layout/graphs/counts; re-derive per-node
     // weights under locking and re-run IPET (the WCET path may differ).
-    let a = WcetAnalysis::analyze(p, config, timing)?;
+    let a = WcetAnalysis::analyze(p, &AnalysisOptions::new(*config, *timing))?;
     let vivu = a.vivu();
     let node_weight: Vec<u64> = (0..vivu.len())
         .map(|i| {
@@ -197,7 +197,7 @@ mod tests {
         let p = program();
         let config = CacheConfig::new(4, 16, 2048).unwrap();
         let timing = MemTiming::default();
-        let a = WcetAnalysis::analyze(&p, &config, &timing).unwrap();
+        let a = WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, timing)).unwrap();
         let locked = select_locked_greedy(&p, &config, &timing).unwrap();
         let t_locked = locked_tau_w(&p, &config, &timing, &locked).unwrap();
         assert!(t_locked <= a.tau_w());
@@ -217,7 +217,7 @@ mod tests {
         .compile("big");
         let config = CacheConfig::new(2, 16, 256).unwrap();
         let timing = MemTiming::default();
-        let a = WcetAnalysis::analyze(&p, &config, &timing).unwrap();
+        let a = WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, timing)).unwrap();
         let locked = select_locked_greedy(&p, &config, &timing).unwrap();
         let t_locked = locked_tau_w(&p, &config, &timing, &locked).unwrap();
         assert!(

@@ -118,6 +118,13 @@ impl HierarchyConfig {
     }
 }
 
+impl From<CacheConfig> for HierarchyConfig {
+    /// The single-level hierarchy, as [`HierarchyConfig::l1_only`].
+    fn from(l1: CacheConfig) -> Self {
+        Self::l1_only(l1)
+    }
+}
+
 impl fmt::Display for HierarchyConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.l1)?;

@@ -38,18 +38,14 @@ pub enum JoinPolicy {
     #[default]
     WcetPath,
     /// Conventional deterministic choice (first successor), ignoring the
-    /// WCET path — the `ablation_join` benchmark's strawman.
+    /// WCET path — the join ablation's strawman (`--bin ablations`).
     FirstSucc,
 }
 
 /// Runs the reverse sweep and returns every opportunity, in forward
-/// execution (topological) order. Uses the paper's `J_SE` join.
-pub fn scan(p: &Program, a: &WcetAnalysis) -> Vec<Candidate> {
-    scan_with_join(p, a, JoinPolicy::WcetPath)
-}
-
-/// [`scan`] with an explicit join policy (for ablation studies).
-pub fn scan_with_join(p: &Program, a: &WcetAnalysis, policy: JoinPolicy) -> Vec<Candidate> {
+/// execution (topological) order, under the join `policy` (the paper's
+/// `J_SE` is [`JoinPolicy::WcetPath`]; the other exists for ablations).
+pub fn scan(p: &Program, a: &WcetAnalysis, policy: JoinPolicy) -> Vec<Candidate> {
     let vivu = a.vivu();
     let acfg = a.acfg();
     let config = a.config();
@@ -103,17 +99,19 @@ mod tests {
     use super::*;
     use rtpf_cache::{CacheConfig, MemTiming};
     use rtpf_isa::shape::Shape;
+    use rtpf_wcet::AnalysisOptions;
 
     fn analyze(shape: Shape, config: CacheConfig) -> (Program, WcetAnalysis) {
         let p = shape.compile("t");
-        let a = WcetAnalysis::analyze(&p, &config, &MemTiming::default()).unwrap();
+        let a =
+            WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, MemTiming::default())).unwrap();
         (p, a)
     }
 
     #[test]
     fn no_opportunities_in_a_roomy_cache() {
         let (p, a) = analyze(Shape::code(16), CacheConfig::new(4, 16, 1024).unwrap());
-        assert!(scan(&p, &a).is_empty());
+        assert!(scan(&p, &a, JoinPolicy::WcetPath).is_empty());
     }
 
     #[test]
@@ -121,7 +119,7 @@ mod tests {
         // 64 instrs = 256 B of straight-line code through a 32 B cache:
         // cold misses downstream are conflict points in the reverse state.
         let (p, a) = analyze(Shape::code(64), CacheConfig::new(1, 16, 32).unwrap());
-        let c = scan(&p, &a);
+        let c = scan(&p, &a, JoinPolicy::WcetPath);
         assert!(!c.is_empty());
         for cand in &c {
             assert_ne!(a.mem_block(cand.r_i), cand.evicted);
@@ -133,7 +131,7 @@ mod tests {
         // The reverse state only holds future-used blocks, so every
         // candidate's block must be referenced after r_i in the ACFG.
         let (_, a) = analyze(Shape::code(64), CacheConfig::new(1, 16, 32).unwrap());
-        let c = scan(&Shape::code(64).compile("t"), &a);
+        let c = scan(&Shape::code(64).compile("t"), &a, JoinPolicy::WcetPath);
         let pos: std::collections::HashMap<RefId, usize> = a
             .acfg()
             .topo()
@@ -161,7 +159,7 @@ mod tests {
             Shape::loop_(10, Shape::code(40)),
             CacheConfig::new(1, 16, 64).unwrap(),
         );
-        let c = scan(&p, &a);
+        let c = scan(&p, &a, JoinPolicy::WcetPath);
         assert!(c.len() > 4);
     }
 
@@ -184,7 +182,7 @@ mod tests {
             ),
         ]);
         let (p, a) = analyze(shape, CacheConfig::new(1, 16, 128).unwrap());
-        let jse = scan_with_join(&p, &a, JoinPolicy::WcetPath);
+        let jse = scan(&p, &a, JoinPolicy::WcetPath);
         // With J_SE, states at the loop-body join reflect the heavy arm —
         // so every candidate's r_i with a choice lies on the WCET path.
         let on_path = jse.iter().filter(|c| a.on_wcet_path(c.r_i)).count();
@@ -195,14 +193,14 @@ mod tests {
         );
         // The policy is exercised (both run without error; results may or
         // may not coincide depending on the layout).
-        let first = scan_with_join(&p, &a, JoinPolicy::FirstSucc);
+        let first = scan(&p, &a, JoinPolicy::FirstSucc);
         assert!(!first.is_empty() || jse.is_empty());
     }
 
     #[test]
     fn candidates_are_in_topological_order() {
         let (p, a) = analyze(Shape::code(64), CacheConfig::new(1, 16, 32).unwrap());
-        let c = scan(&p, &a);
+        let c = scan(&p, &a, JoinPolicy::WcetPath);
         let pos: std::collections::HashMap<RefId, usize> = a
             .acfg()
             .topo()

@@ -73,4 +73,4 @@ pub mod verify;
 pub use candidates::{Candidate, JoinPolicy};
 pub use optimizer::{OptimizeParams, OptimizeReport, OptimizeResult, Optimizer};
 pub use path::WcetPath;
-pub use verify::{check, check_hierarchy, prefetch_equivalent, TheoremReport};
+pub use verify::{check, prefetch_equivalent, TheoremReport};

@@ -1,10 +1,10 @@
 //! The iterative prefetch-insertion optimizer (paper Algorithms 1–3).
 
-use rtpf_cache::{CacheConfig, HierarchyConfig, MemTiming, RefineConfig};
+use rtpf_cache::{HierarchyConfig, MemTiming, RefineConfig};
 use rtpf_isa::{InstrId, InstrKind, Layout, Program};
-use rtpf_wcet::{AnalysisError, AnalysisProfile, WcetAnalysis};
+use rtpf_wcet::{AnalysisError, AnalysisOptions, AnalysisProfile, WcetAnalysis};
 
-use crate::candidates;
+use crate::candidates::{self, JoinPolicy};
 use crate::path::WcetPath;
 
 /// Tuning knobs of the optimizer.
@@ -20,9 +20,9 @@ pub struct OptimizeParams {
     /// (only reached when a batch was rejected).
     pub max_singles_per_round: u32,
     /// Enforce the effectiveness condition (Definition 10). Disabling it
-    /// mimics the WCET-only prior work (paper ref [5]) that inserts the
-    /// prefetch without checking that `Λ` fits before the use — the
-    /// `ablation_criterion` benchmark measures what that costs.
+    /// mimics the WCET-only prior work (paper ref \[5\]) that inserts the
+    /// prefetch without checking that `Λ` fits before the use — ablation 1
+    /// of `--bin ablations` measures what that costs.
     pub check_effectiveness: bool,
     /// Re-analyse each verification candidate incrementally from the
     /// current accepted analysis (identical results, much cheaper) instead
@@ -119,19 +119,27 @@ pub struct Optimizer {
 }
 
 impl Optimizer {
-    /// An optimizer for a single-level cache with the given parameters.
-    pub fn new(config: CacheConfig, params: OptimizeParams) -> Self {
-        Self::new_hierarchy(HierarchyConfig::l1_only(config), params)
+    /// An optimizer for a cache hierarchy (a bare
+    /// [`CacheConfig`](rtpf_cache::CacheConfig) is the single-level one).
+    /// With an L2 level every analysis the optimizer consumes is
+    /// hierarchy-aware, so the profitability test's `mcost` (Eq. 9)
+    /// automatically prices an L1-miss-L2-hit at
+    /// [`MemTiming::l2_hit_cycles`] instead of the DRAM miss time —
+    /// prefetches that only save an L2 hit usually stop paying for
+    /// themselves.
+    pub fn new(hierarchy: impl Into<HierarchyConfig>, params: OptimizeParams) -> Self {
+        Optimizer {
+            hierarchy: hierarchy.into(),
+            params,
+        }
     }
 
-    /// An optimizer for a full cache hierarchy. With an L2 level every
-    /// analysis the optimizer consumes is hierarchy-aware, so the
-    /// profitability test's `mcost` (Eq. 9) automatically prices an
-    /// L1-miss-L2-hit at [`MemTiming::l2_hit_cycles`] instead of the DRAM
-    /// miss time — prefetches that only save an L2 hit usually stop
-    /// paying for themselves.
-    pub fn new_hierarchy(hierarchy: HierarchyConfig, params: OptimizeParams) -> Self {
-        Optimizer { hierarchy, params }
+    /// Options of every from-scratch analysis the optimizer runs.
+    fn analysis_options(&self) -> AnalysisOptions<'static> {
+        AnalysisOptions {
+            refine: self.params.refine,
+            ..AnalysisOptions::new(self.hierarchy, self.params.timing)
+        }
     }
 
     /// Optimizes `p`, returning the transformed program and its proof
@@ -152,17 +160,9 @@ impl Optimizer {
     /// Fails if the program is invalid or the analysis context budget is
     /// exceeded.
     pub fn run(&self, p: &Program) -> Result<OptimizeResult, AnalysisError> {
-        let timing = self.params.timing;
         let mut prog = p.clone();
         let mut layout = Layout::of(&prog);
-        let before = WcetAnalysis::analyze_hierarchy(
-            &prog,
-            layout.clone(),
-            &self.hierarchy,
-            &timing,
-            self.params.refine,
-            1,
-        )?;
+        let before = WcetAnalysis::analyze(&prog, &self.analysis_options())?;
         let mut cur = before.clone();
         let mut report = OptimizeReport {
             wcet_before: before.tau_w(),
@@ -196,7 +196,7 @@ impl Optimizer {
             if applied == 0 {
                 break;
             }
-            let a2 = self.verify_analysis(&cur, &p2, l2.clone())?;
+            let a2 = self.verify_analysis(&cur, &p2, &l2)?;
             report.profile.add(a2.profile());
             if accepts(&cur, &a2) {
                 prog = p2;
@@ -237,19 +237,16 @@ impl Optimizer {
         &self,
         cur: &WcetAnalysis,
         p: &Program,
-        layout: Layout,
+        layout: &Layout,
     ) -> Result<WcetAnalysis, AnalysisError> {
         if self.params.incremental {
-            cur.reanalyze_after_insert(p, layout)
+            cur.reanalyze_after_insert(p, layout.clone())
         } else {
-            WcetAnalysis::analyze_hierarchy(
-                p,
-                layout,
-                &self.hierarchy,
-                &self.params.timing,
-                self.params.refine,
-                1,
-            )
+            let opts = AnalysisOptions {
+                layout: Some(layout),
+                ..self.analysis_options()
+            };
+            WcetAnalysis::analyze(p, &opts)
         }
     }
 
@@ -279,7 +276,7 @@ impl Optimizer {
                     .expect("reverting the insertion just applied");
                 *layout = saved_layout;
             };
-            match self.verify_analysis(cur, prog, layout.clone()) {
+            match self.verify_analysis(cur, prog, layout) {
                 Ok(a3) => {
                     report.profile.add(a3.profile());
                     if accepts(cur, &a3) {
@@ -311,7 +308,7 @@ impl Optimizer {
     ) -> Vec<PlanEntry> {
         let timing = self.params.timing;
         let path = WcetPath::of(cur);
-        let cands = candidates::scan(prog, cur);
+        let cands = candidates::scan(prog, cur, JoinPolicy::WcetPath);
         report.candidates_seen += cands.len() as u64;
         let mut plan: Vec<PlanEntry> = Vec::new();
         let mut seen = std::collections::HashSet::new();
@@ -416,6 +413,7 @@ fn accepts(cur: &WcetAnalysis, new: &WcetAnalysis) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtpf_cache::CacheConfig;
     use rtpf_isa::shape::Shape;
 
     fn optimize(shape: Shape, config: CacheConfig) -> OptimizeResult {
@@ -542,10 +540,9 @@ mod tests {
         let single = Optimizer::new(config, OptimizeParams::default())
             .run(&p)
             .unwrap();
-        let hier =
-            Optimizer::new_hierarchy(HierarchyConfig::l1_only(config), OptimizeParams::default())
-                .run(&p)
-                .unwrap();
+        let hier = Optimizer::new(HierarchyConfig::l1_only(config), OptimizeParams::default())
+            .run(&p)
+            .unwrap();
         assert_eq!(single.program, hier.program);
         assert!(single.report.decisions_eq(&hier.report));
     }
@@ -567,7 +564,7 @@ mod tests {
             timing: MemTiming::default().with_l2_hit(2),
             ..OptimizeParams::default()
         };
-        let hier = Optimizer::new_hierarchy(HierarchyConfig::two_level(l1, l2).unwrap(), params)
+        let hier = Optimizer::new(HierarchyConfig::two_level(l1, l2).unwrap(), params)
             .run(&p)
             .unwrap();
         assert!(
@@ -578,11 +575,11 @@ mod tests {
         );
         // Theorem 1 holds under the hierarchy too.
         assert!(hier.report.wcet_after <= hier.report.wcet_before);
-        assert!(crate::verify::check_hierarchy(
+        assert!(crate::verify::check(
             &p,
             &hier.program,
-            hier.analysis_after.layout().clone(),
-            &HierarchyConfig::two_level(l1, l2).unwrap(),
+            hier.analysis_after.layout(),
+            HierarchyConfig::two_level(l1, l2).unwrap(),
             &params.timing,
         )
         .unwrap()

@@ -103,13 +103,13 @@ mod tests {
     use super::*;
     use rtpf_cache::{CacheConfig, MemTiming};
     use rtpf_isa::shape::Shape;
+    use rtpf_wcet::AnalysisOptions;
 
     fn analyze(shape: Shape) -> WcetAnalysis {
         let p = shape.compile("t");
         WcetAnalysis::analyze(
             &p,
-            &CacheConfig::new(2, 16, 256).unwrap(),
-            &MemTiming::default(),
+            &AnalysisOptions::new(CacheConfig::new(2, 16, 256).unwrap(), MemTiming::default()),
         )
         .unwrap()
     }

@@ -6,9 +6,9 @@
 //! re-running the full WCET analysis — the experiment harness asserts it
 //! over all 2664 use cases.
 
-use rtpf_cache::{CacheConfig, HierarchyConfig, MemTiming};
+use rtpf_cache::{HierarchyConfig, MemTiming};
 use rtpf_isa::{InstrKind, Layout, Program};
-use rtpf_wcet::{AnalysisError, WcetAnalysis};
+use rtpf_wcet::{AnalysisError, AnalysisOptions, WcetAnalysis};
 
 /// Result of verifying Theorem 1 on a program pair.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,7 +61,10 @@ pub fn prefetch_equivalent(p: &Program, q: &Program) -> bool {
 }
 
 /// Re-proves Theorem 1 for the pair `(original, optimized)` by full
-/// re-analysis under each program's own layout.
+/// re-analysis under each program's own layout. Both re-analyses run
+/// under the whole `hierarchy`, so with an L2 level `τ_w` prices
+/// L1-miss-L2-hits at the L2 service time on both sides of the
+/// comparison.
 ///
 /// # Errors
 ///
@@ -69,44 +72,19 @@ pub fn prefetch_equivalent(p: &Program, q: &Program) -> bool {
 pub fn check(
     original: &Program,
     optimized: &Program,
-    optimized_layout: Layout,
-    config: &CacheConfig,
+    optimized_layout: &Layout,
+    hierarchy: impl Into<HierarchyConfig>,
     timing: &MemTiming,
 ) -> Result<TheoremReport, AnalysisError> {
-    check_hierarchy(
-        original,
+    let opts = AnalysisOptions::new(hierarchy, *timing);
+    let a = WcetAnalysis::analyze(original, &opts)?;
+    let b = WcetAnalysis::analyze(
         optimized,
-        optimized_layout,
-        &HierarchyConfig::l1_only(*config),
-        timing,
-    )
-}
-
-/// [`check`] over a full cache hierarchy: both re-analyses run
-/// hierarchy-aware, so `τ_w` prices L1-miss-L2-hits at the L2 service
-/// time on both sides of the comparison.
-///
-/// # Errors
-///
-/// Fails if either program cannot be analysed.
-pub fn check_hierarchy(
-    original: &Program,
-    optimized: &Program,
-    optimized_layout: Layout,
-    hierarchy: &HierarchyConfig,
-    timing: &MemTiming,
-) -> Result<TheoremReport, AnalysisError> {
-    let refine = rtpf_cache::RefineConfig::default();
-    let a = WcetAnalysis::analyze_hierarchy(
-        original,
-        Layout::of(original),
-        hierarchy,
-        timing,
-        refine,
-        1,
+        &AnalysisOptions {
+            layout: Some(optimized_layout),
+            ..opts
+        },
     )?;
-    let b =
-        WcetAnalysis::analyze_hierarchy(optimized, optimized_layout, hierarchy, timing, refine, 1)?;
     let tau_before = a.tau_w();
     let tau_after = b.tau_w();
     Ok(TheoremReport {
@@ -121,6 +99,7 @@ pub fn check_hierarchy(
 mod tests {
     use super::*;
     use crate::optimizer::{OptimizeParams, Optimizer};
+    use rtpf_cache::CacheConfig;
     use rtpf_isa::shape::Shape;
 
     #[test]
@@ -173,8 +152,8 @@ mod tests {
         let report = check(
             &p,
             &r.program,
-            r.analysis_after.layout().clone(),
-            &config,
+            r.analysis_after.layout(),
+            config,
             &MemTiming::default(),
         )
         .unwrap();

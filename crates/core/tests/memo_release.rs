@@ -6,7 +6,7 @@
 use rtpf_cache::{CacheConfig, HierarchyConfig, MemTiming, ReplacementPolicy};
 use rtpf_core::{OptimizeParams, Optimizer};
 use rtpf_isa::{InstrKind, Layout};
-use rtpf_wcet::WcetAnalysis;
+use rtpf_wcet::{AnalysisOptions, WcetAnalysis};
 
 /// Optimizes `name` under `policy` at a 2-way 16 B 512 B L1, without and
 /// with an 8-way 16 KiB L2; checks the memos are empty after the run and
@@ -30,7 +30,7 @@ fn check(name: &str, policy: ReplacementPolicy) {
             timing,
             ..OptimizeParams::default()
         };
-        let r = Optimizer::new_hierarchy(hierarchy, params)
+        let r = Optimizer::new(hierarchy, params)
             .run(&p)
             .expect("optimizes");
         // The run went through the lineage memos before releasing them.
@@ -60,9 +60,12 @@ fn check(name: &str, policy: ReplacementPolicy) {
         let inc = after
             .reanalyze_after_insert(&p2, layout2.clone())
             .expect("re-analyses");
-        let full =
-            WcetAnalysis::analyze_hierarchy(&p2, layout2, &hierarchy, &timing, params.refine, 1)
-                .expect("analyzes");
+        let opts = AnalysisOptions {
+            layout: Some(&layout2),
+            refine: params.refine,
+            ..AnalysisOptions::new(hierarchy, timing)
+        };
+        let full = WcetAnalysis::analyze(&p2, &opts).expect("analyzes");
         assert_eq!(inc.profile().incremental_analyses, 1, "{what}: fell back");
         assert_eq!(inc.tau_w(), full.tau_w(), "{what}: tau_w");
         for rf in full.acfg().refs() {

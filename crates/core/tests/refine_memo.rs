@@ -9,7 +9,7 @@
 
 use rtpf_cache::{CacheConfig, HierarchyConfig, MemTiming, ReplacementPolicy};
 use rtpf_core::{OptimizeParams, Optimizer};
-use rtpf_wcet::WcetAnalysis;
+use rtpf_wcet::{AnalysisOptions, WcetAnalysis};
 
 /// Optimizes `name` under `policy` at a 2-way 16 B 512 B L1, without and
 /// with an 8-way 16 KiB L2, and checks the final analysis of each run.
@@ -31,21 +31,18 @@ fn check(name: &str, policy: ReplacementPolicy) {
             timing,
             ..OptimizeParams::default()
         };
-        let r = Optimizer::new_hierarchy(hierarchy, params)
+        let r = Optimizer::new(hierarchy, params)
             .run(&p)
             .expect("optimizes");
         let after = &r.analysis_after;
         // The run released its refinement memo.
         assert_eq!(after.lineage_cache().refine_memo_len(), 0, "{what}");
-        let full = WcetAnalysis::analyze_hierarchy(
-            &r.program,
-            after.layout().clone(),
-            &hierarchy,
-            &timing,
-            params.refine,
-            1,
-        )
-        .expect("analyzes");
+        let opts = AnalysisOptions {
+            layout: Some(after.layout()),
+            refine: params.refine,
+            ..AnalysisOptions::new(hierarchy, timing)
+        };
+        let full = WcetAnalysis::analyze(&r.program, &opts).expect("analyzes");
         // The run exercised what the memo serves: accepted insertions
         // grew the verification lineage, and refinement upgraded
         // references.

@@ -12,9 +12,10 @@
 //!   shrinks from 45 nm to 32 nm (the key trend behind the paper's
 //!   cache-locking critique in §2.3);
 //! * the miss penalty covers the DRAM access plus the line transfer;
-//! * with a unified L2 ([`EnergyModel::with_l2`]) the L2 array adds its own
-//!   read/fill and leakage terms, and only L1 misses that *also* miss in L2
-//!   reach the DRAM — an L2 hit trades a cheap SRAM read for a DRAM burst.
+//! * with a unified L2 (a two-level [`HierarchyConfig`] passed to
+//!   [`EnergyModel::new`]) the L2 array adds its own read/fill and
+//!   leakage terms, and only L1 misses that *also* miss in L2 reach the
+//!   DRAM — an L2 hit trades a cheap SRAM read for a DRAM burst.
 //!
 //! Absolute joule values are fitted placeholders, not CACTI output; all
 //! experiment results are reported as *ratios* (optimized / original), as
@@ -37,7 +38,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = CacheConfig::new(2, 16, 1024)?;
-//! let model = EnergyModel::new(&config, Technology::Nm45);
+//! let model = EnergyModel::new(config, Technology::Nm45);
 //! let stats = MemStats {
 //!     accesses: 1000,
 //!     hits: 950,
@@ -191,29 +192,17 @@ const DRAM_LATENCY_CYCLES: u64 = 18;
 const L2_LATENCY_CYCLES: u64 = 6;
 
 impl EnergyModel {
-    /// A model for the given geometry and technology.
-    pub fn new(config: &CacheConfig, tech: Technology) -> Self {
-        EnergyModel {
-            config: *config,
-            l2: None,
-            tech,
-        }
-    }
-
-    /// A model for a full hierarchy: the L1 geometry plus, when present,
-    /// a unified L2 whose array energies and leakage join the breakdown.
-    pub fn for_hierarchy(hierarchy: &HierarchyConfig, tech: Technology) -> Self {
+    /// A model for a cache hierarchy and technology: the L1 geometry
+    /// plus, when present, a unified L2 whose array energies and leakage
+    /// join the breakdown. A bare [`CacheConfig`] is the single-level
+    /// hierarchy.
+    pub fn new(hierarchy: impl Into<HierarchyConfig>, tech: Technology) -> Self {
+        let hierarchy = hierarchy.into();
         EnergyModel {
             config: *hierarchy.l1(),
             l2: hierarchy.l2().copied(),
             tech,
         }
-    }
-
-    /// Adds a unified L2 geometry to the model.
-    pub fn with_l2(mut self, l2: &CacheConfig) -> Self {
-        self.l2 = Some(*l2);
-        self
     }
 
     /// The L1 geometry being modelled.
@@ -228,7 +217,7 @@ impl EnergyModel {
 
     /// The same fits applied to the L2 geometry, when present.
     fn l2_model(&self) -> Option<EnergyModel> {
-        self.l2.map(|l2| EnergyModel::new(&l2, self.tech))
+        self.l2.map(|l2| EnergyModel::new(l2, self.tech))
     }
 
     /// The technology node being modelled.
@@ -324,10 +313,14 @@ mod tests {
         CacheConfig::new(assoc, block, cap).unwrap()
     }
 
+    fn two_level(l1: CacheConfig, l2: CacheConfig) -> HierarchyConfig {
+        HierarchyConfig::two_level(l1, l2).unwrap()
+    }
+
     #[test]
     fn dynamic_energy_grows_with_capacity() {
-        let small = EnergyModel::new(&cfg(2, 16, 256), Technology::Nm45);
-        let large = EnergyModel::new(&cfg(2, 16, 8192), Technology::Nm45);
+        let small = EnergyModel::new(cfg(2, 16, 256), Technology::Nm45);
+        let large = EnergyModel::new(cfg(2, 16, 8192), Technology::Nm45);
         assert!(large.read_energy_nj() > small.read_energy_nj());
         assert!(large.leakage_mw() > small.leakage_mw());
     }
@@ -335,8 +328,8 @@ mod tests {
     #[test]
     fn node_shrink_trades_dynamic_for_leakage() {
         let c = cfg(2, 16, 1024);
-        let n45 = EnergyModel::new(&c, Technology::Nm45);
-        let n32 = EnergyModel::new(&c, Technology::Nm32);
+        let n45 = EnergyModel::new(c, Technology::Nm45);
+        let n32 = EnergyModel::new(c, Technology::Nm32);
         assert!(n32.read_energy_nj() < n45.read_energy_nj());
         assert!(n32.leakage_mw() > n45.leakage_mw());
     }
@@ -356,8 +349,8 @@ mod tests {
         for policy in ReplacementPolicy::ALL {
             let c = base.with_policy(policy).unwrap();
             for tech in Technology::all() {
-                let m = EnergyModel::new(&c, tech);
-                let r = EnergyModel::new(&base, tech);
+                let m = EnergyModel::new(c, tech);
+                let r = EnergyModel::new(base, tech);
                 assert_eq!(m.read_energy_nj(), r.read_energy_nj());
                 assert_eq!(m.fill_energy_nj(), r.fill_energy_nj());
                 assert_eq!(m.leakage_mw(), r.leakage_mw());
@@ -372,15 +365,15 @@ mod tests {
 
     #[test]
     fn miss_penalty_scales_with_block_size() {
-        let t16 = EnergyModel::new(&cfg(1, 16, 256), Technology::Nm45).timing();
-        let t32 = EnergyModel::new(&cfg(1, 32, 256), Technology::Nm45).timing();
+        let t16 = EnergyModel::new(cfg(1, 16, 256), Technology::Nm45).timing();
+        let t32 = EnergyModel::new(cfg(1, 32, 256), Technology::Nm45).timing();
         assert!(t32.miss_cycles > t16.miss_cycles);
         assert_eq!(t16.hit_cycles, 1);
     }
 
     #[test]
     fn energy_attribution_is_additive() {
-        let m = EnergyModel::new(&cfg(2, 16, 1024), Technology::Nm32);
+        let m = EnergyModel::new(cfg(2, 16, 1024), Technology::Nm32);
         let s1 = MemStats {
             accesses: 100,
             hits: 90,
@@ -404,7 +397,7 @@ mod tests {
 
     #[test]
     fn fewer_misses_means_less_energy_and_shorter_runtime_less_static() {
-        let m = EnergyModel::new(&cfg(2, 16, 1024), Technology::Nm45);
+        let m = EnergyModel::new(cfg(2, 16, 1024), Technology::Nm45);
         let timing = m.timing();
         let slow = MemStats {
             accesses: 1000,
@@ -431,7 +424,7 @@ mod tests {
 
     #[test]
     fn timing_is_consistent_with_memtiming_contract() {
-        let m = EnergyModel::new(&cfg(4, 32, 4096), Technology::Nm32);
+        let m = EnergyModel::new(cfg(4, 32, 4096), Technology::Nm32);
         let t = m.timing();
         assert!(t.miss_cycles > t.hit_cycles);
         assert!(t.prefetch_latency >= t.miss_cycles - t.hit_cycles);
@@ -439,7 +432,7 @@ mod tests {
 
     #[test]
     fn l1_only_breakdown_has_zero_l2_terms() {
-        let m = EnergyModel::new(&cfg(2, 16, 1024), Technology::Nm45);
+        let m = EnergyModel::new(cfg(2, 16, 1024), Technology::Nm45);
         let stats = MemStats {
             accesses: 1000,
             hits: 900,
@@ -464,7 +457,7 @@ mod tests {
     fn hierarchy_timing_orders_the_three_latencies() {
         let l1 = cfg(2, 16, 256);
         let l2 = cfg(4, 16, 4096);
-        let m = EnergyModel::new(&l1, Technology::Nm45).with_l2(&l2);
+        let m = EnergyModel::new(two_level(l1, l2), Technology::Nm45);
         let t = m.timing();
         let l2_hit = t.l2_hit_cycles.expect("two-level timing has an L2 latency");
         assert!(t.hit_cycles < l2_hit);
@@ -474,31 +467,28 @@ mod tests {
         assert_eq!(l2_hit, 1 + L2_LATENCY_CYCLES + transfer);
         assert_eq!(t.miss_cycles, 1 + DRAM_LATENCY_CYCLES + transfer);
         // The base fields are untouched by the L2.
-        let base = EnergyModel::new(&l1, Technology::Nm45).timing();
+        let base = EnergyModel::new(l1, Technology::Nm45).timing();
         assert_eq!(t.hit_cycles, base.hit_cycles);
         assert_eq!(t.miss_cycles, base.miss_cycles);
         assert_eq!(t.prefetch_latency, base.prefetch_latency);
     }
 
     #[test]
-    fn for_hierarchy_matches_with_l2() {
+    fn hierarchy_model_keeps_the_l2_geometry() {
         let l1 = cfg(2, 16, 256);
         let l2 = cfg(4, 16, 4096);
-        let h = HierarchyConfig::two_level(l1, l2).unwrap();
-        let a = EnergyModel::for_hierarchy(&h, Technology::Nm32);
-        let b = EnergyModel::new(&l1, Technology::Nm32).with_l2(&l2);
-        assert_eq!(a.timing(), b.timing());
+        let a = EnergyModel::new(two_level(l1, l2), Technology::Nm32);
         assert_eq!(a.l2_config(), Some(&l2));
-        let d = EnergyModel::for_hierarchy(&HierarchyConfig::l1_only(l1), Technology::Nm32);
+        let d = EnergyModel::new(HierarchyConfig::l1_only(l1), Technology::Nm32);
         assert!(d.l2_config().is_none());
-        assert_eq!(d.timing(), EnergyModel::new(&l1, Technology::Nm32).timing());
+        assert_eq!(d.timing(), EnergyModel::new(l1, Technology::Nm32).timing());
     }
 
     #[test]
     fn l2_hits_absorb_dram_energy() {
         let l1 = cfg(2, 16, 256);
         let l2 = cfg(4, 16, 4096);
-        let m = EnergyModel::new(&l1, Technology::Nm45).with_l2(&l2);
+        let m = EnergyModel::new(two_level(l1, l2), Technology::Nm45);
         let t = m.timing();
         let l2_hit = t.l2_hit_cycles.unwrap();
         // Same L1 behaviour; one run catches most misses in the L2.
@@ -537,8 +527,8 @@ mod tests {
     #[test]
     fn l2_leakage_scales_with_its_capacity() {
         let l1 = cfg(2, 16, 256);
-        let small = EnergyModel::new(&l1, Technology::Nm32).with_l2(&cfg(4, 16, 2048));
-        let large = EnergyModel::new(&l1, Technology::Nm32).with_l2(&cfg(4, 16, 16384));
+        let small = EnergyModel::new(two_level(l1, cfg(4, 16, 2048)), Technology::Nm32);
+        let large = EnergyModel::new(two_level(l1, cfg(4, 16, 16384)), Technology::Nm32);
         let stats = MemStats {
             accesses: 100,
             hits: 100,

@@ -25,6 +25,7 @@ use rtpf_energy::{EnergyModel, Technology};
 use rtpf_sim::{BranchBehavior, SimConfig};
 
 use rtpf_core::OptimizeParams;
+use rtpf_wcet::AnalysisOptions;
 
 use crate::fingerprint::{Fingerprint, FpHasher};
 
@@ -290,7 +291,7 @@ impl EngineConfig {
     /// an L2 configured, the L2 service time is always derived from the
     /// energy model (there is no override knob for it).
     pub fn timing(&self) -> MemTiming {
-        let derived = EnergyModel::for_hierarchy(&self.hierarchy(), Technology::Nm45).timing();
+        let derived = EnergyModel::new(self.hierarchy(), Technology::Nm45).timing();
         match self.penalty {
             Some(p) => {
                 let t = MemTiming::with_miss_penalty(p);
@@ -300,6 +301,17 @@ impl EngineConfig {
                 }
             }
             None => derived,
+        }
+    }
+
+    /// Options of the analyze stage: this hierarchy and timing, the
+    /// configured refinement and the resolved worker-thread count, under
+    /// the base layout.
+    pub fn analysis_options(&self) -> AnalysisOptions<'static> {
+        AnalysisOptions {
+            refine: self.refine,
+            threads: self.resolved_threads(),
+            ..AnalysisOptions::new(self.hierarchy(), self.timing())
         }
     }
 

@@ -12,11 +12,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rtpf_audit::{DiagnosticSink, SoundnessOptions, SoundnessSummary, TransformSummary};
-use rtpf_core::{check_hierarchy, OptimizeResult, Optimizer, TheoremReport};
+use rtpf_core::{check, OptimizeResult, Optimizer, TheoremReport};
 use rtpf_energy::{EnergyBreakdown, EnergyModel, Technology};
 use rtpf_isa::Program;
 use rtpf_sim::{SimResult, Simulator};
-use rtpf_wcet::{AnalysisProfile, WcetAnalysis};
+use rtpf_wcet::{AnalysisOptions, AnalysisProfile, WcetAnalysis};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
@@ -127,7 +127,8 @@ impl Engine {
             self.config.analysis_fingerprint(),
             program_fingerprint(p),
         );
-        self.store.get_or_compute(key, || self.compute_analysis(p))
+        self.store
+            .get_or_compute(key, || self.analysis_independent(p))
     }
 
     /// Analyze stage with cache bypass: always recomputes, never consults
@@ -138,7 +139,10 @@ impl Engine {
     ///
     /// Propagates [`EngineError::Analysis`].
     pub fn analysis_independent(&self, p: &Program) -> Result<WcetAnalysis, EngineError> {
-        self.compute_analysis(p)
+        let a = WcetAnalysis::analyze(p, &self.config.analysis_options())
+            .map_err(EngineError::Analysis)?;
+        self.absorb(a.profile());
+        Ok(a)
     }
 
     /// Analyze stage under an explicit (anchored) layout. The layout is
@@ -165,32 +169,14 @@ impl Engine {
         }
         let key = ArtifactKey::new(Stage::Analyze, &[h.finish()]);
         self.store.get_or_compute(key, || {
-            let a = WcetAnalysis::analyze_hierarchy(
-                p,
-                layout.clone(),
-                &self.config.hierarchy(),
-                &self.config.timing(),
-                self.config.refine(),
-                self.config.resolved_threads(),
-            )
-            .map_err(EngineError::Analysis)?;
+            let opts = AnalysisOptions {
+                layout: Some(layout),
+                ..self.config.analysis_options()
+            };
+            let a = WcetAnalysis::analyze(p, &opts).map_err(EngineError::Analysis)?;
             self.absorb(a.profile());
             Ok(a)
         })
-    }
-
-    fn compute_analysis(&self, p: &Program) -> Result<WcetAnalysis, EngineError> {
-        let a = WcetAnalysis::analyze_hierarchy(
-            p,
-            rtpf_isa::Layout::of(p),
-            &self.config.hierarchy(),
-            &self.config.timing(),
-            self.config.refine(),
-            self.config.resolved_threads(),
-        )
-        .map_err(EngineError::Analysis)?;
-        self.absorb(a.profile());
-        Ok(a)
     }
 
     /// Optimize stage: WCET-safe prefetch insertion (Theorem 1 by
@@ -228,7 +214,7 @@ impl Engine {
             if let Some(r) = rounds_override {
                 params.max_rounds = r;
             }
-            let r = Optimizer::new_hierarchy(self.config.hierarchy(), params)
+            let r = Optimizer::new(self.config.hierarchy(), params)
                 .run(p)
                 .map_err(EngineError::Optimize)?;
             let mut prof = r.report.profile;
@@ -253,11 +239,11 @@ impl Engine {
         let key = self.key_for(Stage::Verify, self.config.optimize_fingerprint(), pfp);
         let report = self.store.get_or_compute(key, || {
             let t0 = Instant::now();
-            let rep = check_hierarchy(
+            let rep = check(
                 p,
                 &r.program,
-                r.analysis_after.layout().clone(),
-                &self.config.hierarchy(),
+                r.analysis_after.layout(),
+                self.config.hierarchy(),
                 &self.config.timing(),
             )
             .map_err(EngineError::Verify)?;
@@ -287,7 +273,7 @@ impl Engine {
         let key = self.key_for(Stage::Simulate, self.config.sim_fingerprint(), pfp);
         self.store.get_or_compute(key, || {
             let t0 = Instant::now();
-            let run = Simulator::new_hierarchy(
+            let run = Simulator::new(
                 self.config.hierarchy(),
                 self.config.timing(),
                 self.config.sim_config(),
@@ -309,8 +295,8 @@ impl Engine {
         let stats = run.mean_stats();
         let hierarchy = self.config.hierarchy();
         let out = [
-            EnergyModel::for_hierarchy(&hierarchy, Technology::Nm45).energy_of(&stats),
-            EnergyModel::for_hierarchy(&hierarchy, Technology::Nm32).energy_of(&stats),
+            EnergyModel::new(hierarchy, Technology::Nm45).energy_of(&stats),
+            EnergyModel::new(hierarchy, Technology::Nm32).energy_of(&stats),
         ];
         self.absorb(&AnalysisProfile {
             energy_ns: t0.elapsed().as_nanos() as u64,
@@ -334,7 +320,7 @@ impl Engine {
     }
 
     fn gated_optimize_with_fp(&self, p: &Program, pfp: Fingerprint) -> Result<Gated, EngineError> {
-        let e45 = EnergyModel::for_hierarchy(&self.config.hierarchy(), Technology::Nm45);
+        let e45 = EnergyModel::new(self.config.hierarchy(), Technology::Nm45);
         let energy = |run: &SimResult| e45.energy_of(&run.mean_stats()).total_nj();
         let mut opt = self.optimize_artifact(p, pfp, None)?;
         let sim_orig = self.simulated_with_fp(p, pfp)?;
@@ -407,8 +393,8 @@ impl Engine {
             // Probe energies price the shrunken L1 under the unchanged
             // rest of the hierarchy.
             let sub_hierarchy = sub.config.hierarchy();
-            let m45 = EnergyModel::for_hierarchy(&sub_hierarchy, Technology::Nm45);
-            let m32 = EnergyModel::for_hierarchy(&sub_hierarchy, Technology::Nm32);
+            let m45 = EnergyModel::new(sub_hierarchy, Technology::Nm45);
+            let m32 = EnergyModel::new(sub_hierarchy, Technology::Nm32);
             let wcet = sub
                 .analysis_at_layout(&opt.program, opt_fp, opt.analysis_after.layout())
                 .ok()?

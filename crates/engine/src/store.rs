@@ -145,12 +145,10 @@ impl ArtifactKey {
 /// Approximate resident size of an artifact value, used for the hot
 /// tier's byte accounting.
 ///
-/// Estimates are deliberately coarse — they only have to make the byte
-/// budget *meaningful* (an eviction decision between a full
-/// `OptimizeResult` and a `u64` should weigh them differently), not
-/// account every allocation. The default is the shallow `size_of`;
-/// artifact types carrying dominant heap blocks override it with a
-/// heuristic proportional to program size.
+/// The default is the shallow `size_of`; artifact types carrying heap
+/// blocks override it. Analyses count what they hold
+/// ([`WcetAnalysis::heap_bytes`]); programs use a per-instruction
+/// estimate.
 pub trait Weigh: Send + Sync + 'static {
     /// Approximate bytes this value keeps resident.
     fn weight_bytes(&self) -> usize {
@@ -158,10 +156,6 @@ pub trait Weigh: Send + Sync + 'static {
     }
 }
 
-/// Per-instruction footprint heuristic for analysis-sized artifacts: the
-/// VIVU graph, classifications, and per-reference tables all scale with
-/// the instruction count times the (small, bounded) context depth.
-const ANALYSIS_BYTES_PER_INSTR: usize = 192;
 /// Per-instruction footprint of a compiled [`Program`] (instruction
 /// stream + CFG arenas + layout order).
 const PROGRAM_BYTES_PER_INSTR: usize = 48;
@@ -186,7 +180,7 @@ impl Weigh for (String, Program) {
 
 impl Weigh for WcetAnalysis {
     fn weight_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.layout().len() * ANALYSIS_BYTES_PER_INSTR
+        std::mem::size_of::<Self>() + self.heap_bytes()
     }
 }
 
@@ -713,7 +707,7 @@ impl ArtifactStore {
     ///
     /// Safe for multiple concurrent writers: the write happens under a
     /// `<name>.lock` lease (stale leases are stolen after
-    /// [`LEASE_TTL`]), each file lands via write-to-temp + fsync +
+    /// `LEASE_TTL`), each file lands via write-to-temp + fsync +
     /// rename, and the sidecar is renamed in only after the artifact is
     /// durable. A crash at any point leaves either the old pair, a fresh
     /// artifact with no/old sidecar (detectable stale), or the fresh
@@ -722,7 +716,7 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Fails when the disk layer is absent, the lease cannot be acquired
-    /// within [`LEASE_ACQUIRE_TIMEOUT`], or a filesystem write fails.
+    /// within `LEASE_ACQUIRE_TIMEOUT`, or a filesystem write fails.
     pub fn disk_put(&self, name: &str, key: ArtifactKey, text: &str) -> Result<(), EngineError> {
         let path = self.disk_path(name).ok_or_else(|| EngineError::Store {
             path: name.to_string(),
@@ -876,6 +870,32 @@ mod tests {
 
     fn key(n: u64) -> ArtifactKey {
         ArtifactKey::new(Stage::Unit, &[Fingerprint(n, n ^ 1)])
+    }
+
+    #[test]
+    fn analysis_weighs_at_least_its_out_states() {
+        use rtpf_cache::{CacheConfig, MemTiming};
+        use rtpf_wcet::{AnalysisOptions, NodeId};
+        let p = rtpf_suite::by_name("statemate")
+            .expect("suite program")
+            .program;
+        let config = CacheConfig::new(2, 16, 1024).expect("valid geometry");
+        let a = WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, MemTiming::default()))
+            .expect("analyzes");
+        // The packed words of every distinct (must, may) out-state, each
+        // shared state counted once.
+        let mut seen = std::collections::HashSet::new();
+        let payload: usize = (0..a.vivu().len())
+            .map(|i| a.out_state(NodeId(i as u32)))
+            .filter(|s| seen.insert(std::ptr::from_ref(*s)))
+            .map(|s| (s.0.len() + s.1.len()) * std::mem::size_of::<u64>())
+            .sum();
+        assert!(payload > 0);
+        assert!(
+            a.weight_bytes() >= payload,
+            "weighs {} B, out-states hold {payload} B",
+            a.weight_bytes()
+        );
     }
 
     #[test]

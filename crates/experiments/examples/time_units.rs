@@ -16,7 +16,7 @@ fn main() {
             ("k25", EngineConfig::geometry(1, 16, 4096).unwrap()),
         ] {
             let t0 = std::time::Instant::now();
-            let r = rtpf_experiments::run_unit(name, &b.program, k, cfg);
+            let r = rtpf_experiments::run_unit(name, &b.program, k, cfg, 1);
             println!(
                 "{name} {k}: {:.2}s ins={} wcet_ratio={:.3}",
                 t0.elapsed().as_secs_f64(),

@@ -1,8 +1,7 @@
-//! Result-quality ablations of the design choices DESIGN.md calls out
-//! (their *runtime* costs are measured by `cargo bench -p rtpf-bench`):
+//! Result-quality ablations of the design choices DESIGN.md §4 calls out:
 //!
 //! 1. effectiveness check on/off — does ignoring the latency window (the
-//!    WCET-only prior work, paper ref [5]) change the outcome?
+//!    WCET-only prior work, paper ref \[5\]) change the outcome?
 //! 2. `J_SE` WCET-path join vs. a conventional first-successor join in
 //!    the reverse analysis — how many useful candidates does each see?
 //! 3. single optimization round vs. iterating to a fixpoint.
@@ -53,8 +52,8 @@ fn main() {
     for name in programs {
         let b = rtpf_suite::by_name(name).expect("known");
         let a = eng_on.analysis(&b.program).expect("analyzes");
-        let jse = candidates::scan_with_join(&b.program, &a, JoinPolicy::WcetPath);
-        let first = candidates::scan_with_join(&b.program, &a, JoinPolicy::FirstSucc);
+        let jse = candidates::scan(&b.program, &a, JoinPolicy::WcetPath);
+        let first = candidates::scan(&b.program, &a, JoinPolicy::FirstSucc);
         let on_path = jse.iter().filter(|c| a.on_wcet_path(c.r_i)).count();
         println!(
             "{:<10} {:>12} {:>12} {:>16}",

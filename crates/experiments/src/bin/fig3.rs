@@ -2,10 +2,11 @@
 //! consumption, and WCET per cache size (both technologies pooled for
 //! energy, as in the paper). Improvement = 1 − optimized/original.
 
+use rtpf_cache::ReplacementPolicy;
 use rtpf_experiments::{mean_by_capacity, sweep, CAPACITIES};
 
 fn main() {
-    let rows = sweep();
+    let rows = sweep(ReplacementPolicy::Lru);
     println!("Figure 3: Impact on energy efficiency (averages per cache size)");
     println!(
         "{:>9} {:>10} {:>13} {:>10}",

@@ -1,9 +1,10 @@
 //! Regenerates the paper's Figure 4: impact on miss rate per cache size.
 
+use rtpf_cache::ReplacementPolicy;
 use rtpf_experiments::{mean_by_capacity, sweep, CAPACITIES};
 
 fn main() {
-    let rows = sweep();
+    let rows = sweep(ReplacementPolicy::Lru);
     println!("Figure 4: Impact on miss rate (averages per cache size)");
     println!(
         "{:>9} {:>12} {:>12} {:>10}",

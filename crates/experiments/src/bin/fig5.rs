@@ -4,10 +4,11 @@
 //! still better than the full-size original (the paper's shaded region,
 //! energy reductions up to 21%).
 
+use rtpf_cache::ReplacementPolicy;
 use rtpf_experiments::{sweep, CAPACITIES};
 
 fn main() {
-    let rows = sweep();
+    let rows = sweep(ReplacementPolicy::Lru);
     println!("Figure 5: optimized program on reduced cache sizes vs original on full size");
     println!(
         "{:>9} {:>6} {:>11} {:>13} {:>11}",

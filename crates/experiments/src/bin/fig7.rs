@@ -2,10 +2,11 @@
 //! (Inequation 12) at 32 nm — τ_w(optimized)/τ_w(original) for each of
 //! the 37 × 36 cases. The ratio must never exceed 1 (Theorem 1).
 
+use rtpf_cache::ReplacementPolicy;
 use rtpf_experiments::sweep;
 
 fn main() {
-    let rows = sweep();
+    let rows = sweep(ReplacementPolicy::Lru);
     println!("Figure 7: WCET ratio per use case (32nm; timing is node-independent)");
     let mut ratios: Vec<f64> = rows.iter().map(|r| r.wcet_ratio()).collect();
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

@@ -2,10 +2,11 @@
 //! (optimized / original) per cache size — the instruction overhead of
 //! the inserted prefetches (paper maximum: +1.32%).
 
+use rtpf_cache::ReplacementPolicy;
 use rtpf_experiments::{mean_by_capacity, sweep, CAPACITIES};
 
 fn main() {
-    let rows = sweep();
+    let rows = sweep(ReplacementPolicy::Lru);
     println!("Figure 8: executed-instruction ratio (optimized / original)");
     println!("{:>9} {:>10} {:>12}", "capacity", "avg ratio", "max ratio");
     let mut max_overall: f64 = 0.0;

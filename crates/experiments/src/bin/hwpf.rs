@@ -1,11 +1,11 @@
-//! Extension experiment (paper §2 / reference [22]): hardware next-line
+//! Extension experiment (paper §2 / reference \[22\]): hardware next-line
 //! prefetching vs. the paper's software insertion, on both axes that
 //! matter to a real-time engineer:
 //!
 //! * **average case** — simulated ACET with a real next-line prefetcher
 //!   (latency modelled, pollution included);
 //! * **worst case** — the WCET bound. For hardware prefetching the bound
-//!   shown uses the idealized next-line abstract semantics of [22]
+//!   shown uses the idealized next-line abstract semantics of \[22\]
 //!   (prefetch always completes in time), i.e. it is a *best case for
 //!   hardware*; the software technique's bound is fully guaranteed
 //!   (Theorem 1) and needs no timing leap of faith.
@@ -15,12 +15,12 @@ use rtpf_energy::{EnergyModel, Technology};
 use rtpf_engine::EngineConfig;
 use rtpf_experiments::optimize_with_condition3;
 use rtpf_sim::Simulator;
-use rtpf_wcet::WcetAnalysis;
+use rtpf_wcet::{AnalysisOptions, WcetAnalysis};
 
 fn main() {
     let programs = ["fft1", "compress", "ndes", "jfdctint", "edn", "adpcm"];
     let config = EngineConfig::geometry(2, 16, 512).expect("valid");
-    let timing = EnergyModel::new(&config, Technology::Nm45).timing();
+    let timing = EnergyModel::new(config, Technology::Nm45).timing();
     let sim_config = || EngineConfig::evaluation(config).sim_config();
     println!("Hardware next-line vs software prefetch insertion on {config}\n");
     println!(
@@ -33,7 +33,8 @@ fn main() {
         let sim = Simulator::new(config, timing, sim_config());
 
         let base_run = sim.run(&b.program).expect("simulates");
-        let base_wcet = WcetAnalysis::analyze(&b.program, &config, &timing)
+        let opts = AnalysisOptions::new(config, timing);
+        let base_wcet = WcetAnalysis::analyze(&b.program, &opts)
             .expect("analyzes")
             .tau_w();
 
@@ -45,7 +46,11 @@ fn main() {
             HwScheme::NextLine { n: 1 },
         )
         .expect("simulates");
-        let hw_wcet = WcetAnalysis::analyze_with_hw_next_line(&b.program, &config, &timing, 1)
+        let hw_opts = AnalysisOptions {
+            hw_next_line: Some(1),
+            ..opts
+        };
+        let hw_wcet = WcetAnalysis::analyze(&b.program, &hw_opts)
             .expect("analyzes")
             .tau_w();
 

@@ -28,15 +28,18 @@ fn main() {
     let mut n = 0.0;
     for name in programs {
         let b = rtpf_suite::by_name(name).expect("known");
-        let m45 = EnergyModel::new(&config, Technology::Nm45);
-        let m32 = EnergyModel::new(&config, Technology::Nm32);
+        let m45 = EnergyModel::new(config, Technology::Nm45);
+        let m32 = EnergyModel::new(config, Technology::Nm32);
         let timing = m45.timing();
         let sim = Simulator::new(config, timing, sim_config());
 
         let base = sim.run(&b.program).expect("simulates");
-        let base_tau = rtpf_wcet::WcetAnalysis::analyze(&b.program, &config, &timing)
-            .expect("analyzes")
-            .tau_w();
+        let base_tau = rtpf_wcet::WcetAnalysis::analyze(
+            &b.program,
+            &rtpf_wcet::AnalysisOptions::new(config, timing),
+        )
+        .expect("analyzes")
+        .tau_w();
 
         let locked = select_locked_greedy(&b.program, &config, &timing).expect("selects");
         let lock_tau = locked_tau_w(&b.program, &config, &timing, &locked).expect("bounds");

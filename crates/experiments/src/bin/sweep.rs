@@ -14,7 +14,7 @@ fn main() {
         None => ReplacementPolicy::Lru,
     };
     let t0 = std::time::Instant::now();
-    let rows = rtpf_experiments::sweep_for(policy);
+    let rows = rtpf_experiments::sweep(policy);
     println!(
         "sweep[{policy}] complete: {} units in {:.1}s",
         rows.len(),
@@ -24,8 +24,5 @@ fn main() {
     println!("Theorem 1 violations: {violations} (must be 0)");
     let total_inserted: u64 = rows.iter().map(|r| u64::from(r.inserted)).sum();
     println!("total prefetches inserted: {total_inserted}");
-    println!(
-        "cache: {}",
-        rtpf_experiments::cache_path_for(policy).display()
-    );
+    println!("cache: {}", rtpf_experiments::cache_path(policy).display());
 }

@@ -10,7 +10,7 @@ fn main() {
         "ID", "a", "b", "c", "sets", "miss_cyc", "read_nJ@45", "leak_mW@45"
     );
     for (k, cfg) in CacheConfig::paper_configs() {
-        let m = EnergyModel::new(&cfg, Technology::Nm45);
+        let m = EnergyModel::new(cfg, Technology::Nm45);
         println!(
             "{:<5} {:>2} {:>3} {:>6} {:>6} {:>10} {:>12.4} {:>12.4}",
             k,

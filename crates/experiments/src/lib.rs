@@ -43,15 +43,7 @@ pub use rtpf_engine::{parse_csv, to_csv, Gated, UnitResult, COLUMNS};
 pub fn engine_for(config: CacheConfig) -> Engine {
     // One analysis thread per engine: the sweep grid already runs one
     // worker per core ([`Grid`]), so nested fan-out would only oversubscribe.
-    engine_with_threads(config, 1)
-}
-
-/// [`engine_for`] with an explicit analysis worker-thread count (`0` = one
-/// per core). Outputs are byte-identical at any count (DESIGN.md §13);
-/// the determinism tests and benches use this to pit thread counts against
-/// each other.
-pub fn engine_with_threads(config: CacheConfig, threads: usize) -> Engine {
-    Engine::new(EngineConfig::evaluation(config).with_threads(threads))
+    Engine::new(EngineConfig::evaluation(config).with_threads(1))
 }
 
 /// Optimizes under the paper's three conditions (Condition 3 — no ACET or
@@ -63,20 +55,19 @@ pub fn optimize_with_condition3(program: &Program, config: CacheConfig) -> Gated
         .expect("suite programs optimize")
 }
 
-/// Runs one `(program, configuration)` unit through the engine.
-pub fn run_unit(name: &str, program: &Program, k: &str, config: CacheConfig) -> UnitResult {
-    run_unit_with_threads(name, program, k, config, 1)
-}
-
-/// [`run_unit`] with an explicit analysis worker-thread count.
-pub fn run_unit_with_threads(
+/// Runs one `(program, configuration)` unit through an evaluation engine
+/// with `threads` analysis worker threads (`0` = one per core; the sweep
+/// grid uses `1`, see [`engine_for`]). Outputs are byte-identical at any
+/// count (DESIGN.md §13); the determinism tests pit counts against each
+/// other.
+pub fn run_unit(
     name: &str,
     program: &Program,
     k: &str,
     config: CacheConfig,
     threads: usize,
 ) -> UnitResult {
-    let unit = engine_with_threads(config, threads)
+    let unit = Engine::new(EngineConfig::evaluation(config).with_threads(threads))
         .unit(name, k, program)
         .expect("suite programs evaluate");
     (*unit).clone()
@@ -93,14 +84,9 @@ pub fn sweep_artifact_name(policy: ReplacementPolicy) -> String {
     }
 }
 
-/// Location of the on-disk sweep artifact (`<name>.hash` sidecar beside
-/// it).
-pub fn cache_path() -> PathBuf {
-    cache_path_for(ReplacementPolicy::Lru)
-}
-
-/// [`cache_path`], for any replacement policy.
-pub fn cache_path_for(policy: ReplacementPolicy) -> PathBuf {
+/// Location of the on-disk sweep artifact for `policy` (`<name>.hash`
+/// sidecar beside it).
+pub fn cache_path(policy: ReplacementPolicy) -> PathBuf {
     results_store()
         .disk_path(&sweep_artifact_name(policy))
         .expect("store has a disk layer")
@@ -126,20 +112,16 @@ pub fn paper_configs_for(policy: ReplacementPolicy) -> Vec<(String, CacheConfig)
         .collect()
 }
 
-/// Content address of the full 37 × 36 sweep: every program fingerprint ×
-/// every evaluation-profile configuration fingerprint, plus the unit-stage
-/// version. Any change to a benchmark, a Table 2 geometry, an
-/// analysis/optimizer/simulation knob, the replacement policy, or the
-/// unit algorithm itself moves this key and invalidates the cached CSV.
-pub fn sweep_artifact_key() -> ArtifactKey {
-    sweep_artifact_key_for(ReplacementPolicy::Lru)
-}
-
-/// [`sweep_artifact_key`], for any replacement policy. The policy enters
-/// every configuration fingerprint (see `EngineConfig`), so the three
-/// per-policy sweep artifacts can never serve each other's requests even
-/// if their file names were confused.
-pub fn sweep_artifact_key_for(policy: ReplacementPolicy) -> ArtifactKey {
+/// Content address of the full 37 × 36 sweep under `policy`: every
+/// program fingerprint × every evaluation-profile configuration
+/// fingerprint, plus the unit-stage version. Any change to a benchmark, a
+/// Table 2 geometry, an analysis/optimizer/simulation knob, the
+/// replacement policy, or the unit algorithm itself moves this key and
+/// invalidates the cached CSV. The policy enters every configuration
+/// fingerprint (see `EngineConfig`), so the three per-policy sweep
+/// artifacts can never serve each other's requests even if their file
+/// names were confused.
+pub fn sweep_artifact_key(policy: ReplacementPolicy) -> ArtifactKey {
     let suite = rtpf_suite::catalog();
     let econfigs: Vec<EngineConfig> = paper_configs_for(policy)
         .into_iter()
@@ -178,26 +160,22 @@ fn load_sweep_named(
     }
 }
 
-/// Runs (or loads) the full 37 × 36 sweep under LRU, the paper's policy.
+/// Runs (or loads) the full 37 × 36 sweep under `policy` (the paper's is
+/// LRU). Each policy persists to its own artifact (see
+/// [`sweep_artifact_name`]) under its own content address.
 ///
 /// The cached CSV is accepted only when its `.hash` sidecar names the
 /// current [`sweep_artifact_key`]; anything else — stale hash, missing
 /// sidecar, parse failure, wrong row count — is discarded and the sweep
 /// recomputed (and re-persisted under the current key).
-pub fn sweep() -> Vec<UnitResult> {
-    sweep_for(ReplacementPolicy::Lru)
-}
-
-/// [`sweep`], for any replacement policy. Each policy persists to its own
-/// artifact (see [`sweep_artifact_name`]) under its own content address.
-pub fn sweep_for(policy: ReplacementPolicy) -> Vec<UnitResult> {
+pub fn sweep(policy: ReplacementPolicy) -> Vec<UnitResult> {
     let store = results_store();
-    let key = sweep_artifact_key_for(policy);
+    let key = sweep_artifact_key(policy);
     let name = sweep_artifact_name(policy);
     if let Some(rows) = load_sweep_named(&store, &name, key, 37 * 36) {
         return rows;
     }
-    let results = run_sweep_for(policy);
+    let results = run_sweep(policy);
     store
         .disk_put(&name, key, &to_csv(&results))
         .expect("persist sweep artifact");
@@ -212,22 +190,17 @@ pub fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().div_ceil(4))
 }
 
-/// Computes the LRU sweep from scratch on the engine's work-stealing
-/// grid.
+/// Computes the sweep under `policy` from scratch on the engine's
+/// work-stealing grid.
 ///
 /// Each unit runs in an ephemeral engine with a private store: no two
 /// units share a `(program, configuration)` pair, so there is nothing to
 /// reuse across them, and dropping each unit's intermediate artifacts
 /// (analyses, optimize results, simulations) immediately keeps the
-/// sweep's memory footprint flat.
-pub fn run_sweep() -> Vec<UnitResult> {
-    run_sweep_for(ReplacementPolicy::Lru)
-}
-
-/// [`run_sweep`], for any replacement policy. The grid runs sharded (one
-/// worker group per [`default_shards`] slice), so wide machines do not
-/// convoy on a single claim counter while sharing the results store.
-pub fn run_sweep_for(policy: ReplacementPolicy) -> Vec<UnitResult> {
+/// sweep's memory footprint flat. The grid runs sharded (one worker group
+/// per [`default_shards`] slice), so wide machines do not convoy on a
+/// single claim counter while sharing the results store.
+pub fn run_sweep(policy: ReplacementPolicy) -> Vec<UnitResult> {
     let suite = rtpf_suite::catalog();
     let configs = paper_configs_for(policy);
     let units: Vec<(usize, usize)> = (0..suite.len())
@@ -247,7 +220,7 @@ pub fn run_sweep_for(policy: ReplacementPolicy) -> Vec<UnitResult> {
     let mut out: Vec<UnitResult> = grid.run(&units, |_, &(pi, ci)| {
         let b = &suite[pi];
         let (k, config) = &configs[ci];
-        run_unit(b.name, &b.program, k, *config)
+        run_unit(b.name, &b.program, k, *config, 1)
     });
     out.sort_by(|a, b| (&a.program, &a.k).cmp(&(&b.program, &b.k)));
     out
@@ -577,7 +550,7 @@ mod tests {
     fn unit_roundtrips_through_csv() {
         let b = rtpf_suite::by_name("bs").unwrap();
         let cfg = EngineConfig::geometry(2, 16, 256).unwrap();
-        let r = run_unit("bs", &b.program, "k2", cfg);
+        let r = run_unit("bs", &b.program, "k2", cfg, 1);
         let text = to_csv(std::slice::from_ref(&r));
         let back = parse_csv(&text).expect("roundtrip parses");
         assert_eq!(back.len(), 1);
@@ -592,7 +565,7 @@ mod tests {
     fn unit_satisfies_theorem_one() {
         let b = rtpf_suite::by_name("fft1").unwrap();
         let cfg = EngineConfig::geometry(1, 16, 512).unwrap();
-        let r = run_unit("fft1", &b.program, "k7", cfg);
+        let r = run_unit("fft1", &b.program, "k7", cfg, 1);
         assert!(r.wcet_opt <= r.wcet_orig);
         assert!(r.wcet_ratio() <= 1.0);
     }
@@ -605,6 +578,7 @@ mod tests {
             &b.program,
             "k1",
             EngineConfig::geometry(1, 16, 256).unwrap(),
+            1,
         );
         let rows = vec![r1];
         assert!(mean_by_capacity(&rows, 256, |r| r.wcet_ratio()).is_finite());
@@ -643,7 +617,7 @@ mod tests {
     fn l2_sweep_key_differs_from_every_policy_sweep_key() {
         let l2 = l2_sweep_artifact_key();
         for p in ReplacementPolicy::ALL {
-            assert_ne!(l2, sweep_artifact_key_for(p));
+            assert_ne!(l2, sweep_artifact_key(p));
         }
     }
 
@@ -659,19 +633,13 @@ mod tests {
         // from another policy is rejected as stale.
         let keys: Vec<ArtifactKey> = ReplacementPolicy::ALL
             .into_iter()
-            .map(sweep_artifact_key_for)
+            .map(sweep_artifact_key)
             .collect();
         for i in 0..keys.len() {
             for j in 0..i {
                 assert_ne!(keys[i], keys[j], "policies {j} and {i} share a sweep key");
             }
         }
-        // The LRU wrappers are the policy-generic forms at LRU.
-        assert_eq!(
-            sweep_artifact_key(),
-            sweep_artifact_key_for(ReplacementPolicy::Lru)
-        );
-        assert_eq!(cache_path(), cache_path_for(ReplacementPolicy::Lru));
     }
 
     #[test]
@@ -688,12 +656,13 @@ mod tests {
             &b.program,
             "k2",
             EngineConfig::geometry(2, 16, 256).unwrap(),
+            1,
         );
         let payload = to_csv(std::slice::from_ref(&row));
         store
             .disk_put(
                 "sweep-x.csv",
-                sweep_artifact_key_for(ReplacementPolicy::Fifo),
+                sweep_artifact_key(ReplacementPolicy::Fifo),
                 &payload,
             )
             .expect("writes");
@@ -701,7 +670,7 @@ mod tests {
             load_sweep_named(
                 &store,
                 "sweep-x.csv",
-                sweep_artifact_key_for(ReplacementPolicy::Plru),
+                sweep_artifact_key(ReplacementPolicy::Plru),
                 1
             )
             .is_none(),
@@ -719,7 +688,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rtpf-sweep-stale-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = ArtifactStore::with_disk(&dir);
-        let key = sweep_artifact_key();
+        let key = sweep_artifact_key(ReplacementPolicy::Lru);
         let stale = ArtifactKey::new(
             rtpf_engine::Stage::Sweep,
             &[rtpf_engine::Fingerprint(0xdead, 0xbeef)],
@@ -730,6 +699,7 @@ mod tests {
             &b.program,
             "k2",
             EngineConfig::geometry(2, 16, 256).unwrap(),
+            1,
         );
         let payload = to_csv(std::slice::from_ref(&row));
         store

@@ -12,7 +12,7 @@
 //!   extremes without paying for the full 37 × 36 grid (the full grid was
 //!   diffed once at refactor time: identical).
 
-use rtpf_cache::CacheConfig;
+use rtpf_cache::{CacheConfig, ReplacementPolicy};
 
 const GOLDEN: &str = include_str!("golden_sweep_slice.csv");
 
@@ -22,7 +22,7 @@ fn engine_sweep_slice_matches_pre_refactor_csv_byte_for_byte() {
     for name in ["fibcall", "sqrt"] {
         let b = rtpf_suite::by_name(name).expect("known");
         for (k, config) in CacheConfig::paper_configs() {
-            rows.push(rtpf_experiments::run_unit(name, &b.program, &k, config));
+            rows.push(rtpf_experiments::run_unit(name, &b.program, &k, config, 1));
         }
     }
     rows.sort_by(|x, y| (&x.program, &x.k).cmp(&(&y.program, &y.k)));
@@ -45,7 +45,7 @@ const SAMPLE: &[(&str, &str)] = &[
 
 #[test]
 fn sampled_units_match_checked_in_sweep_rows() {
-    let cache = std::fs::read_to_string(rtpf_experiments::cache_path())
+    let cache = std::fs::read_to_string(rtpf_experiments::cache_path(ReplacementPolicy::Lru))
         .expect("checked-in results/sweep.csv present");
     let configs = CacheConfig::paper_configs();
     for &(name, k) in SAMPLE {
@@ -54,7 +54,7 @@ fn sampled_units_match_checked_in_sweep_rows() {
             .iter()
             .find(|(id, _)| id == k)
             .expect("paper config");
-        let row = rtpf_experiments::run_unit(name, &b.program, k, *config);
+        let row = rtpf_experiments::run_unit(name, &b.program, k, *config, 1);
         let line = rtpf_experiments::to_csv(std::slice::from_ref(&row));
         let line = line.lines().nth(1).expect("one data row");
         let want_prefix = format!("{name},{k},");
@@ -70,7 +70,7 @@ fn sampled_units_match_checked_in_sweep_rows() {
 /// same `(name, k)`.
 fn assert_unit_matches(reference: &str, policy: &str, name: &str, k: &str, config: CacheConfig) {
     let b = rtpf_suite::by_name(name).expect("known");
-    let row = rtpf_experiments::run_unit(name, &b.program, k, config);
+    let row = rtpf_experiments::run_unit(name, &b.program, k, config, 1);
     let line = rtpf_experiments::to_csv(std::slice::from_ref(&row));
     let line = line.lines().nth(1).expect("one data row");
     let want_prefix = format!("{name},{k},");
@@ -91,11 +91,11 @@ fn l1_only_hierarchy_reproduces_checked_in_sweeps_for_every_policy() {
     // and it must reproduce the pre-hierarchy sweep bytes for all three
     // replacement policies — the frozen golden slice for LRU, the
     // checked-in per-policy artifacts for FIFO/PLRU.
-    use rtpf_cache::{HierarchyConfig, ReplacementPolicy};
+    use rtpf_cache::HierarchyConfig;
     for policy in ReplacementPolicy::ALL {
         let reference = match policy {
             ReplacementPolicy::Lru => GOLDEN.to_string(),
-            p => std::fs::read_to_string(rtpf_experiments::cache_path_for(p))
+            p => std::fs::read_to_string(rtpf_experiments::cache_path(p))
                 .expect("checked-in per-policy sweep present"),
         };
         for name in ["fibcall", "sqrt"] {
@@ -118,12 +118,11 @@ fn fifo_and_plru_rows_match_where_refinement_upgrades_references() {
     // (and exhausts its budget on one PLRU set at k9), and all but k9 also
     // insert prefetches, so the optimizer's verification lineage reuses
     // memoized per-set outcomes across candidates.
-    use rtpf_cache::ReplacementPolicy;
     for (policy, ks) in [
         (ReplacementPolicy::Fifo, ["k8", "k14", "k15"].as_slice()),
         (ReplacementPolicy::Plru, ["k9", "k17"].as_slice()),
     ] {
-        let reference = std::fs::read_to_string(rtpf_experiments::cache_path_for(policy))
+        let reference = std::fs::read_to_string(rtpf_experiments::cache_path(policy))
             .expect("checked-in per-policy sweep present");
         let configs = rtpf_experiments::paper_configs_for(policy);
         for &k in ks {
@@ -141,13 +140,12 @@ fn explicit_lru_policy_is_byte_identical_to_the_default() {
     // The policy-generic refactor must leave the paper's LRU numbers
     // untouched: selecting LRU *explicitly* reproduces the frozen
     // pre-refactor slice byte-for-byte, exactly like the default does.
-    use rtpf_cache::ReplacementPolicy;
     let mut rows = Vec::new();
     for name in ["fibcall", "sqrt"] {
         let b = rtpf_suite::by_name(name).expect("known");
         for (k, config) in rtpf_experiments::paper_configs_for(ReplacementPolicy::Lru) {
             assert_eq!(config.policy(), ReplacementPolicy::Lru);
-            rows.push(rtpf_experiments::run_unit(name, &b.program, &k, config));
+            rows.push(rtpf_experiments::run_unit(name, &b.program, &k, config, 1));
         }
     }
     rows.sort_by(|x, y| (&x.program, &x.k).cmp(&(&y.program, &y.k)));

@@ -5,7 +5,7 @@
 //! of the `rtpf-wcet` parallel-vs-sequential property test.
 
 use rtpf_cache::{CacheConfig, ReplacementPolicy};
-use rtpf_experiments::{paper_configs_for, run_unit_with_threads, to_csv, UnitResult};
+use rtpf_experiments::{paper_configs_for, run_unit, to_csv, UnitResult};
 
 /// A smoke slice of the grid: two cheap programs across geometry extremes
 /// and a mid-grid point, under every replacement policy.
@@ -16,7 +16,7 @@ fn slice(policy: ReplacementPolicy, threads: usize) -> Vec<UnitResult> {
         let b = rtpf_suite::by_name(name).expect("suite program");
         for ki in [0, 13, 35] {
             let (k, config) = &configs[ki];
-            rows.push(run_unit_with_threads(name, &b.program, k, *config, threads));
+            rows.push(run_unit(name, &b.program, k, *config, threads));
         }
     }
     rows.sort_by(|a, b| (&a.program, &a.k).cmp(&(&b.program, &b.k)));

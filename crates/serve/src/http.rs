@@ -35,7 +35,7 @@ pub struct Request {
 /// # Errors
 ///
 /// Malformed framing or a request exceeding the size limits.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
+pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
     let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {

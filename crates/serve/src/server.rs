@@ -10,12 +10,13 @@
 //! connections are waiting, so a handful of chatty clients cannot
 //! starve the pool.
 //!
-//! Slow peers: every accepted connection reads under a fixed
-//! [`READ_TIMEOUT`]. A peer that sends nothing before it expires (an idle
+//! Slow peers: [`READ_TIMEOUT`] bounds both the wait for a request's
+//! first byte and the whole request, head plus body, counted from that
+//! byte. A peer that sends nothing before it expires (an idle
 //! connection, or an idle keep-alive between requests) is closed
-//! silently; one that stalls partway through a request gets `408`.
-//! Either way the worker is free again, so idle sockets cannot wedge the
-//! pool or hold up a drain.
+//! silently; one that stalls partway through a request, or trickles it
+//! in too slowly, gets `408`. Either way the worker is free again, so
+//! idle or slow sockets cannot wedge the pool or hold up a drain.
 //!
 //! Graceful shutdown: `POST /shutdown` acknowledges, flips the shutdown
 //! flag, and self-connects to unblock the acceptor; the acceptor stops
@@ -24,21 +25,22 @@
 //! joins them and returns. Nothing accepted is dropped unanswered.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rtpf_engine::{ArtifactStore, ServiceCore, ServiceError, StoreConfig};
 
 use crate::http::{read_request, write_response, Request};
 use crate::request::decode_request;
 
-/// How long a worker waits on any one read from a connection before
-/// giving up on the peer (see the module docs).
+/// How long a worker waits for a request's first byte, and for the rest
+/// of the request after it, before giving up on the peer (see the module
+/// docs).
 pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Daemon configuration (the `rtpfd` flags).
@@ -251,7 +253,7 @@ fn serve_connection(
         return;
     }
     let mut reader = match conn.try_clone() {
-        Ok(c) => BufReader::new(c),
+        Ok(conn) => BufReader::new(Deadline { conn, at: None }),
         Err(_) => return,
     };
     let mut writer = conn;
@@ -259,12 +261,14 @@ fn serve_connection(
         // Wait for the request's first byte: end of stream, an idle peer
         // outlasting the read timeout, or a dead socket all close the
         // connection without a response.
+        reader.get_mut().at = None;
         match reader.fill_buf() {
             Ok([]) => return,
             Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
+        reader.get_mut().at = Some(Instant::now() + READ_TIMEOUT);
         let req = match read_request(&mut reader) {
             Ok(Some(r)) => r,
             // Clean keep-alive teardown by the peer.
@@ -289,8 +293,29 @@ fn serve_connection(
     }
 }
 
+/// The connection's read side under a whole-request deadline. The
+/// socket's own read timeout still bounds each read, so a peer can
+/// overrun `at` by at most one [`READ_TIMEOUT`]; checking the clock
+/// here costs no syscall.
+struct Deadline {
+    conn: TcpStream,
+    /// When the current request must be read by; `None` between
+    /// requests.
+    at: Option<Instant>,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.at.is_some_and(|at| Instant::now() >= at) {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.conn.read(buf)
+    }
+}
+
 /// Whether a read error is the connection's read timeout expiring
-/// (`WouldBlock` on Unix, `TimedOut` on Windows).
+/// (`WouldBlock` on Unix, `TimedOut` on Windows) or the request's
+/// deadline passing.
 fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),

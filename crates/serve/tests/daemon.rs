@@ -2,7 +2,7 @@
 //! path, warm-pass cache behavior, protocol errors, slow peers, and
 //! graceful shutdown.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -228,6 +228,58 @@ fn an_idle_peer_cannot_wedge_the_only_worker() {
 
     // A drain completes while an idle peer holds the only worker.
     let _attached = connect_first(&server.addr);
+    server.shutdown();
+}
+
+#[test]
+fn a_trickling_peer_cannot_hold_the_only_worker() {
+    let server = Running::start(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let bound = READ_TIMEOUT + Duration::from_secs(3);
+    let addr = server.addr.clone();
+    let t0 = Instant::now();
+    // One byte a second: a request line, then a header that never ends.
+    // Each wait for the response doubles as the pause between bytes.
+    let trickler = thread::spawn(move || {
+        let mut conn = TcpStream::connect(addr.as_str()).expect("connects");
+        conn.set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("sets timeout");
+        let head = b"GET /healthz HTTP/1.1\r\nx-pad: ";
+        let mut got = Vec::new();
+        for &b in head.iter().chain(std::iter::repeat(&b'a')) {
+            if t0.elapsed() > bound * 2 || conn.write_all(&[b]).is_err() {
+                break;
+            }
+            let mut buf = [0u8; 256];
+            match conn.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => got.extend_from_slice(&buf[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(_) => break,
+            }
+            if got.ends_with(b"}") {
+                break;
+            }
+        }
+        (String::from_utf8_lossy(&got).into_owned(), t0.elapsed())
+    });
+    thread::sleep(Duration::from_millis(200));
+    let resp = request(server.addr.as_str(), "/healthz", None, bound)
+        .expect("healthz answers behind a trickling peer");
+    assert_eq!(resp.status, 200);
+    assert!(
+        t0.elapsed() < bound,
+        "healthz took {:?} behind a trickling peer",
+        t0.elapsed()
+    );
+    let (got, cut_after) = trickler.join().expect("trickler joins");
+    assert!(
+        got.is_empty() || got.starts_with("HTTP/1.1 408 "),
+        "trickler got {got:?}"
+    );
+    assert!(cut_after < bound, "trickler held on for {cut_after:?}");
     server.shutdown();
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use rtpf_cache::{CacheConfig, ConcreteState, HierarchyConfig, MemTiming};
+use rtpf_cache::{ConcreteState, HierarchyConfig, MemTiming};
 use rtpf_energy::MemStats;
 use rtpf_isa::MemBlockId;
 
@@ -90,16 +90,14 @@ pub struct CacheEngine {
 }
 
 impl CacheEngine {
-    /// A cold engine for the given configuration (geometry *and*
-    /// replacement policy) and timing.
-    pub fn new(config: &CacheConfig, timing: MemTiming) -> Self {
-        Self::new_hierarchy(&HierarchyConfig::l1_only(*config), timing)
-    }
-
-    /// A cold engine for a full hierarchy: with an L2 present, L1 misses
-    /// look it up before going to DRAM, and an L2 hit costs
-    /// [`MemTiming::l2_hit_cycles`] instead of the full miss penalty.
-    pub fn new_hierarchy(hierarchy: &HierarchyConfig, timing: MemTiming) -> Self {
+    /// A cold engine for a cache hierarchy (geometry *and* replacement
+    /// policy per level; a bare [`CacheConfig`](rtpf_cache::CacheConfig)
+    /// is the single-level one)
+    /// and timing. With an L2 present, L1 misses look it up before going
+    /// to DRAM, and an L2 hit costs [`MemTiming::l2_hit_cycles`] instead
+    /// of the full miss penalty.
+    pub fn new(hierarchy: impl Into<HierarchyConfig>, timing: MemTiming) -> Self {
+        let hierarchy = hierarchy.into();
         CacheEngine {
             cache: ConcreteState::new(hierarchy.l1()),
             l2: hierarchy.l2().map(ConcreteState::new),
@@ -305,10 +303,11 @@ impl CacheEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtpf_cache::CacheConfig;
 
     fn engine() -> CacheEngine {
         let cfg = CacheConfig::new(2, 16, 64).unwrap();
-        CacheEngine::new(&cfg, MemTiming::with_miss_penalty(20))
+        CacheEngine::new(cfg, MemTiming::with_miss_penalty(20))
     }
 
     #[test]
@@ -393,7 +392,7 @@ mod tests {
         let l1 = CacheConfig::new(2, 16, 32).unwrap();
         let l2 = CacheConfig::new(4, 16, 256).unwrap();
         let h = HierarchyConfig::two_level(l1, l2).unwrap();
-        CacheEngine::new_hierarchy(&h, MemTiming::with_miss_penalty(20).with_l2_hit(8))
+        CacheEngine::new(h, MemTiming::with_miss_penalty(20).with_l2_hit(8))
     }
 
     #[test]
@@ -494,8 +493,8 @@ mod tests {
     fn degenerate_hierarchy_engine_matches_plain_engine() {
         let cfg = CacheConfig::new(2, 16, 64).unwrap();
         let timing = MemTiming::with_miss_penalty(20);
-        let mut plain = CacheEngine::new(&cfg, timing);
-        let mut degen = CacheEngine::new_hierarchy(&HierarchyConfig::l1_only(cfg), timing);
+        let mut plain = CacheEngine::new(cfg, timing);
+        let mut degen = CacheEngine::new(HierarchyConfig::l1_only(cfg), timing);
         for b in [1u64, 2, 3, 1, 9, 2, 3, 4, 1, 5, 2, 9] {
             assert_eq!(plain.fetch(MemBlockId(b)), degen.fetch(MemBlockId(b)));
         }
@@ -519,7 +518,7 @@ mod tests {
                 .unwrap()
                 .with_policy(policy)
                 .unwrap();
-            let mut e = CacheEngine::new(&cfg, MemTiming::with_miss_penalty(20));
+            let mut e = CacheEngine::new(cfg, MemTiming::with_miss_penalty(20));
             string
                 .iter()
                 .map(|&b| e.fetch(MemBlockId(b)))
@@ -540,7 +539,7 @@ mod tests {
                 .unwrap()
                 .with_policy(policy)
                 .unwrap();
-            let mut e = CacheEngine::new(&cfg, MemTiming::with_miss_penalty(20));
+            let mut e = CacheEngine::new(cfg, MemTiming::with_miss_penalty(20));
             for b in [1u64, 2, 3, 1, 2, 3, 4, 1, 5, 2] {
                 e.fetch(MemBlockId(b));
             }

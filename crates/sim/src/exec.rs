@@ -7,7 +7,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rtpf_cache::{CacheConfig, HierarchyConfig, MemTiming};
+use rtpf_cache::{HierarchyConfig, MemTiming};
 use rtpf_isa::dom::Dominators;
 use rtpf_isa::loops::LoopForest;
 use rtpf_isa::{BlockId, InstrKind, Layout, MemBlockId, Program};
@@ -167,17 +167,13 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// A simulator for a single-level cache of the given geometry, timing,
-    /// and policy.
-    pub fn new(config: CacheConfig, timing: MemTiming, sim: SimConfig) -> Self {
-        Self::new_hierarchy(HierarchyConfig::l1_only(config), timing, sim)
-    }
-
-    /// A simulator for a full hierarchy; with an L2, every run's engine
-    /// serves L1 misses through the exact two-level walk.
-    pub fn new_hierarchy(hierarchy: HierarchyConfig, timing: MemTiming, sim: SimConfig) -> Self {
+    /// A simulator for a cache hierarchy (a bare
+    /// [`CacheConfig`](rtpf_cache::CacheConfig) is the single-level one),
+    /// timing, and run settings; with an L2, every run's engine serves L1
+    /// misses through the exact two-level walk.
+    pub fn new(hierarchy: impl Into<HierarchyConfig>, timing: MemTiming, sim: SimConfig) -> Self {
         Simulator {
-            hierarchy,
+            hierarchy: hierarchy.into(),
             timing,
             sim,
         }
@@ -190,7 +186,7 @@ impl Simulator {
     ///
     /// Fails if `p` is invalid or a run exceeds the fetch cap.
     pub fn run(&self, p: &Program) -> Result<SimResult, SimError> {
-        self.run_with(p, |_| {})
+        self.run_full(p, |_| {}, || None)
     }
 
     /// Runs `p` with statically locked contents.
@@ -203,20 +199,7 @@ impl Simulator {
         p: &Program,
         contents: &LockedContents,
     ) -> Result<SimResult, SimError> {
-        self.run_with(p, |e| e.lock(contents.clone()))
-    }
-
-    /// Runs `p`, customizing each run's engine (e.g. locking) via `setup`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `p` is invalid or a run exceeds the fetch cap.
-    pub fn run_with(
-        &self,
-        p: &Program,
-        setup: impl Fn(&mut CacheEngine),
-    ) -> Result<SimResult, SimError> {
-        self.run_full(p, setup, || None)
+        self.run_full(p, |e| e.lock(contents.clone()), || None)
     }
 
     /// Runs `p` with a hardware prefetcher built fresh per run.
@@ -232,6 +215,8 @@ impl Simulator {
         self.run_full(p, |_| {}, || Some(factory()))
     }
 
+    /// Every run of `p`, each engine customized by `setup` (e.g. locking)
+    /// and given the prefetcher `hw_factory` builds, if any.
     fn run_full(
         &self,
         p: &Program,
@@ -248,7 +233,7 @@ impl Simulator {
 
         let mut result = SimResult::default();
         for k in 0..self.sim.runs {
-            let mut engine = CacheEngine::new_hierarchy(&self.hierarchy, self.timing);
+            let mut engine = CacheEngine::new(self.hierarchy, self.timing);
             setup(&mut engine);
             let mut hw = hw_factory();
             let instrs = self.walk(
@@ -414,6 +399,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtpf_cache::CacheConfig;
     use rtpf_isa::shape::Shape;
 
     fn sim(behavior: BranchBehavior) -> Simulator {

@@ -98,7 +98,7 @@ mod tests {
         let cfg = CacheConfig::new(2, 16, 64).unwrap();
         let mut r = SimResult::default();
         for _ in 0..2 {
-            let mut e = CacheEngine::new(&cfg, MemTiming::default());
+            let mut e = CacheEngine::new(cfg, MemTiming::default());
             e.fetch(MemBlockId(1));
             e.fetch(MemBlockId(1));
             r.absorb(&e, 2);

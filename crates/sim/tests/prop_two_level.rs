@@ -88,7 +88,7 @@ proptest! {
     ) {
         let mut p = shape.compile("prop");
         insert_prefetch(&mut p, anchor_sel, target_sel);
-        let s = Simulator::new_hierarchy(hierarchy, timing(), sim_config(behavior));
+        let s = Simulator::new(hierarchy, timing(), sim_config(behavior));
         let r = s.run(&p).expect("simulation");
         prop_assert_eq!(r.stats.l2_accesses, r.stats.misses + r.prefetches_issued);
         prop_assert_eq!(r.stats.l2_accesses, r.stats.l2_hits + r.stats.l2_misses);
@@ -108,7 +108,7 @@ proptest! {
         let single = Simulator::new(*hierarchy.l1(), t, sim_config(BranchBehavior::Random))
             .run(&p)
             .expect("single-level simulation");
-        let two = Simulator::new_hierarchy(hierarchy, t, sim_config(BranchBehavior::Random))
+        let two = Simulator::new(hierarchy, t, sim_config(BranchBehavior::Random))
             .run(&p)
             .expect("two-level simulation");
         prop_assert_eq!(two.stats.accesses, single.stats.accesses);
@@ -132,7 +132,7 @@ proptest! {
         let plain = Simulator::new(config, t, sim_config(BranchBehavior::Random))
             .run(&p)
             .expect("plain simulation");
-        let degen = Simulator::new_hierarchy(
+        let degen = Simulator::new(
             HierarchyConfig::l1_only(config),
             t,
             sim_config(BranchBehavior::Random),

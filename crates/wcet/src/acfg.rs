@@ -10,6 +10,7 @@
 
 use rtpf_isa::{InstrId, Program};
 
+use crate::vec_bytes;
 use crate::vivu::{NodeId, VivuGraph};
 
 /// Identity of a reference (an instruction fetch in one VIVU context).
@@ -255,6 +256,19 @@ impl Acfg {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.refs.is_empty()
+    }
+
+    /// Heap bytes of the graph's arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.refs)
+            + vec_bytes(&self.ids)
+            + vec_bytes(&self.succ_off)
+            + vec_bytes(&self.succ_dat)
+            + vec_bytes(&self.pred_off)
+            + vec_bytes(&self.pred_dat)
+            + vec_bytes(&self.entry_refs)
+            + vec_bytes(&self.node_start)
+            + vec_bytes(&self.node_end)
     }
 }
 

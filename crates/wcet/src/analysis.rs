@@ -1,6 +1,7 @@
 //! End-to-end WCET analysis: VIVU → classification → IPET.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,7 +20,67 @@ use crate::l2;
 use crate::memo::{AnalysisCache, NodeSig};
 use crate::profile::AnalysisProfile;
 use crate::refine::{self, RefineStats};
+use crate::vec_bytes;
 use crate::vivu::{NodeId, VivuGraph};
+
+/// How [`WcetAnalysis::analyze`] runs: the cache hierarchy and timing
+/// model analysed against, plus the layout, refinement, thread-count and
+/// hardware-prefetcher settings. [`AnalysisOptions::new`] gives the
+/// defaults; other settings are set by struct update:
+///
+/// ```
+/// # use rtpf_cache::{CacheConfig, MemTiming};
+/// # use rtpf_wcet::AnalysisOptions;
+/// # let config = CacheConfig::new(2, 16, 256).unwrap();
+/// let opts = AnalysisOptions {
+///     threads: 4,
+///     ..AnalysisOptions::new(config, MemTiming::default())
+/// };
+/// # assert_eq!(opts.hierarchy.l1(), &config);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct AnalysisOptions<'a> {
+    /// The cache hierarchy. With an L2 level the refined L1
+    /// classification drives Hardy & Puaut's filtered L2 must/may pass,
+    /// and `t_w` charges [`MemTiming::l2_hit_cycles`] for L1 misses the
+    /// L2 analysis proves always-hit.
+    pub hierarchy: HierarchyConfig,
+    /// The timing model.
+    pub timing: MemTiming,
+    /// The layout to analyse under; `None` is the base layout
+    /// [`Layout::of`] (the optimizer passes its relocated layouts here).
+    pub layout: Option<&'a Layout>,
+    /// Exact per-set refinement. It only runs for FIFO/tree-PLRU; under
+    /// LRU or with refinement disabled the result is bit-identical to the
+    /// unrefined analysis.
+    pub refine: RefineConfig,
+    /// Worker threads for the classify fixpoint's ready SCCs and the
+    /// refinement stage's per-set explorations (`1` = sequential).
+    /// Results are bit-identical at any thread count; incremental
+    /// re-analyses inherit it.
+    pub threads: usize,
+    /// An always-on **next-N-line hardware prefetcher** (the
+    /// abstract-semantics extension of the paper's reference \[22\]). The
+    /// bound assumes ideal prefetch timing and is therefore optimistic —
+    /// see [`classify`](crate::classify::classify). Such an analysis
+    /// stays single-level: any L2 in `hierarchy` is ignored.
+    pub hw_next_line: Option<u32>,
+}
+
+impl AnalysisOptions<'_> {
+    /// The defaults under `hierarchy` and `timing`: base layout,
+    /// refinement on, one thread, no hardware prefetcher.
+    pub fn new(hierarchy: impl Into<HierarchyConfig>, timing: MemTiming) -> Self {
+        AnalysisOptions {
+            hierarchy: hierarchy.into(),
+            timing,
+            layout: None,
+            refine: RefineConfig::default(),
+            threads: 1,
+            hw_next_line: None,
+        }
+    }
+}
 
 /// Result of analysing one program under one cache configuration.
 ///
@@ -37,23 +98,16 @@ pub struct WcetAnalysis {
     layout: Layout,
     vivu: Arc<VivuGraph>,
     acfg: Acfg,
-    config: CacheConfig,
-    /// Second-level geometry, when the analysed hierarchy has one. `None`
-    /// keeps every L2 code path inert and the analysis bit-identical to
-    /// the historical single-level one.
-    l2: Option<CacheConfig>,
-    /// Per-reference L2 classification (empty when `l2` is `None`),
+    /// The options this analysis ran under, with `layout` moved out to the
+    /// field above and the hierarchy cut to its L1 level under a hardware
+    /// prefetcher. Incremental re-analyses of this lineage inherit them.
+    opts: AnalysisOptions<'static>,
+    /// Per-reference L2 classification (empty without an L2 level),
     /// computed by the Hardy & Puaut filtered post-pass.
     l2_class: Vec<Classification>,
     /// Per-reference L1-outcome filter the L2 updates ran under (empty
-    /// when `l2` is `None`).
+    /// without an L2 level).
     l2_cac: Vec<CacheAccessClassification>,
-    timing: MemTiming,
-    hw_next_line: Option<u32>,
-    refine: RefineConfig,
-    /// Worker threads for the classify fixpoint and the refinement
-    /// fan-out; inherited by incremental re-analyses of this lineage.
-    threads: usize,
     /// Fingerprint of the analysed program's CFG (blocks, edges, loop
     /// bounds); incremental re-analysis requires it to be unchanged.
     cfg_sig: u64,
@@ -104,162 +158,28 @@ fn cfg_signature(p: &Program) -> u64 {
 }
 
 impl WcetAnalysis {
-    /// Analyses `p` under the default base layout.
+    /// Analyses `p` under `opts`.
     ///
     /// # Errors
     ///
     /// Fails if `p` is structurally invalid or the analysis blows its
     /// context budget.
-    pub fn analyze(
-        p: &Program,
-        config: &CacheConfig,
-        timing: &MemTiming,
-    ) -> Result<Self, AnalysisError> {
-        Self::analyze_with_layout(p, Layout::of(p), config, timing)
-    }
+    pub fn analyze(p: &Program, opts: &AnalysisOptions) -> Result<Self, AnalysisError> {
+        let layout = opts.layout.map_or_else(|| Layout::of(p), Layout::clone);
+        // The hardware next-line model stays a single-level analysis.
+        let hierarchy = match opts.hw_next_line {
+            Some(_) => HierarchyConfig::l1_only(*opts.hierarchy.l1()),
+            None => opts.hierarchy,
+        };
+        let opts = AnalysisOptions {
+            hierarchy,
+            timing: opts.timing,
+            layout: None,
+            refine: opts.refine,
+            threads: opts.threads,
+            hw_next_line: opts.hw_next_line,
+        };
 
-    /// Analyses `p` under an explicit layout (used by the optimizer after
-    /// relocation).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `p` is structurally invalid or the analysis blows its
-    /// context budget.
-    pub fn analyze_with_layout(
-        p: &Program,
-        layout: Layout,
-        config: &CacheConfig,
-        timing: &MemTiming,
-    ) -> Result<Self, AnalysisError> {
-        Self::analyze_full(
-            p,
-            layout,
-            &HierarchyConfig::l1_only(*config),
-            timing,
-            None,
-            RefineConfig::default(),
-            1,
-        )
-    }
-
-    /// [`analyze_with_layout`](WcetAnalysis::analyze_with_layout) with an
-    /// explicit refinement configuration (the engine threads its
-    /// fingerprinted `RefineConfig` through here). Refinement only runs
-    /// for FIFO/tree-PLRU; under LRU or with refinement disabled the
-    /// result is bit-identical to the unrefined analysis.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `p` is structurally invalid or the analysis blows its
-    /// context budget.
-    pub fn analyze_refined(
-        p: &Program,
-        layout: Layout,
-        config: &CacheConfig,
-        timing: &MemTiming,
-        refine: RefineConfig,
-    ) -> Result<Self, AnalysisError> {
-        Self::analyze_full(
-            p,
-            layout,
-            &HierarchyConfig::l1_only(*config),
-            timing,
-            None,
-            refine,
-            1,
-        )
-    }
-
-    /// [`analyze_refined`](WcetAnalysis::analyze_refined) solving the
-    /// classify fixpoint's ready SCCs — and the refinement stage's per-set
-    /// explorations — on `threads` scoped worker threads (`1` =
-    /// sequential). Results are bit-identical at any thread count; the
-    /// knob only trades wall-clock for cores. Incremental re-analyses
-    /// derived from this analysis inherit the same thread count.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `p` is structurally invalid or the analysis blows its
-    /// context budget.
-    pub fn analyze_parallel(
-        p: &Program,
-        layout: Layout,
-        config: &CacheConfig,
-        timing: &MemTiming,
-        refine: RefineConfig,
-        threads: usize,
-    ) -> Result<Self, AnalysisError> {
-        Self::analyze_full(
-            p,
-            layout,
-            &HierarchyConfig::l1_only(*config),
-            timing,
-            None,
-            refine,
-            threads,
-        )
-    }
-
-    /// [`analyze_parallel`](WcetAnalysis::analyze_parallel) over a full
-    /// cache [`HierarchyConfig`]. With a single-level hierarchy this is
-    /// bit-identical to the single-level entry points; with an L2 level
-    /// the refined L1 classification drives Hardy & Puaut's filtered L2
-    /// must/may pass, and `t_w` charges
-    /// [`MemTiming::l2_hit_cycles`] for L1 misses the L2 analysis proves
-    /// always-hit.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `p` is structurally invalid or the analysis blows its
-    /// context budget.
-    pub fn analyze_hierarchy(
-        p: &Program,
-        layout: Layout,
-        hierarchy: &HierarchyConfig,
-        timing: &MemTiming,
-        refine: RefineConfig,
-        threads: usize,
-    ) -> Result<Self, AnalysisError> {
-        Self::analyze_full(p, layout, hierarchy, timing, None, refine, threads)
-    }
-
-    /// Analyses `p` assuming an always-on **next-N-line hardware
-    /// prefetcher** (the abstract-semantics extension of the paper's
-    /// reference [22]). The bound assumes ideal prefetch timing and is
-    /// therefore optimistic — see
-    /// [`classify_with_hw`](crate::classify::classify_with_hw).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `p` is structurally invalid or the analysis blows its
-    /// context budget.
-    pub fn analyze_with_hw_next_line(
-        p: &Program,
-        config: &CacheConfig,
-        timing: &MemTiming,
-        n: u32,
-    ) -> Result<Self, AnalysisError> {
-        Self::analyze_full(
-            p,
-            Layout::of(p),
-            &HierarchyConfig::l1_only(*config),
-            timing,
-            Some(n),
-            RefineConfig::default(),
-            1,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn analyze_full(
-        p: &Program,
-        layout: Layout,
-        hierarchy: &HierarchyConfig,
-        timing: &MemTiming,
-        hw_next_line: Option<u32>,
-        refine: RefineConfig,
-        threads: usize,
-    ) -> Result<Self, AnalysisError> {
         let t0 = Instant::now();
         let vivu = Arc::new(VivuGraph::build(p)?);
         let acfg = Acfg::build(p, &vivu);
@@ -267,56 +187,42 @@ impl WcetAnalysis {
 
         let t1 = Instant::now();
         let cache = Arc::new(AnalysisCache::new());
-        let cls = classify::classify_full_cached(
+        let cls = classify::classify(
             p,
             &layout,
             &vivu,
             &acfg,
-            hierarchy.l1(),
-            hw_next_line,
+            opts.hierarchy.l1(),
+            opts.hw_next_line,
+            None,
             &cache,
-            threads,
+            opts.threads,
         )?;
         let fixpoint_ns = t1.elapsed().as_nanos() as u64;
 
-        Self::finish(
-            p,
-            layout,
-            vivu,
-            acfg,
-            hierarchy,
-            timing,
-            hw_next_line,
-            refine,
-            threads,
-            cls,
-            cache,
+        let profile = AnalysisProfile {
             vivu_ns,
             fixpoint_ns,
-            false,
-        )
+            full_analyses: 1,
+            ..AnalysisProfile::default()
+        };
+        Self::finish(p, layout, (vivu, acfg), opts, cls, cache, profile)
     }
 
     /// Shared tail of full and incremental analysis: timing vector, node
-    /// weights, IPET, and profile assembly.
-    #[allow(clippy::too_many_arguments)]
+    /// weights, IPET, and profile assembly. `profile` arrives with the
+    /// caller's VIVU and fixpoint times and its full/incremental count.
     fn finish(
         p: &Program,
         layout: Layout,
-        vivu: Arc<VivuGraph>,
-        acfg: Acfg,
-        hierarchy: &HierarchyConfig,
-        timing: &MemTiming,
-        hw_next_line: Option<u32>,
-        refine: RefineConfig,
-        threads: usize,
+        (vivu, acfg): (Arc<VivuGraph>, Acfg),
+        opts: AnalysisOptions<'static>,
         cls: ClassifyResult,
         cache: Arc<AnalysisCache>,
-        vivu_ns: u64,
-        fixpoint_ns: u64,
-        incremental: bool,
+        profile: AnalysisProfile,
     ) -> Result<Self, AnalysisError> {
-        let config = hierarchy.l1();
+        let config = opts.hierarchy.l1();
+        let incremental = profile.incremental_analyses > 0;
         // Exact refinement of the cheap classification (a deterministic
         // post-pass, so incremental and full analyses stay bit-identical).
         // The unrefined vector is retained: it alone seeds the next
@@ -332,8 +238,8 @@ impl WcetAnalysis {
             &graph,
             &acfg,
             config,
-            refine,
-            hw_next_line,
+            opts.refine,
+            opts.hw_next_line,
             &cls.sigs,
             &cls.mem_block,
             &mut class,
@@ -342,7 +248,7 @@ impl WcetAnalysis {
             // look up, and storing would make every standalone analysis
             // (and each artifact holding one) carry memo entries.
             incremental.then_some(&*cache),
-            threads,
+            opts.threads,
         );
         let refine_ns = t_refine.elapsed().as_nanos() as u64;
 
@@ -350,15 +256,10 @@ impl WcetAnalysis {
         // the *refined* L1 classes (the level-wise composition — refine
         // runs per level in the sense that its upgrades tighten the L2
         // filter). Recomputed from scratch every finish, so incremental
-        // and full analyses agree by construction. The hardware next-line
-        // model stays a single-level analysis.
-        let l2_cfg = if hw_next_line.is_some() {
-            None
-        } else {
-            hierarchy.l2().copied()
-        };
+        // and full analyses agree by construction.
+        let l2_cfg = opts.hierarchy.l2();
         let t_l2 = Instant::now();
-        let (l2_class, l2_cac) = match &l2_cfg {
+        let (l2_class, l2_cac) = match l2_cfg {
             Some(l2cfg) => {
                 let r = l2::classify_l2(&vivu, &graph, &acfg, l2cfg, &class, &cls.sigs)?;
                 (r.class, r.cac)
@@ -370,6 +271,7 @@ impl WcetAnalysis {
         // Per-reference worst-case access time, from the refined view.
         // With an L2 level, an L1 miss the L2 analysis proves always-hit
         // is served in `l2_hit_cycles` instead of the DRAM time.
+        let timing = &opts.timing;
         let l2_hit_cycles = timing.l2_hit_cycles.unwrap_or(timing.miss_cycles);
         let t_w: Vec<u64> = class
             .iter()
@@ -404,8 +306,6 @@ impl WcetAnalysis {
         let ipet_ns = t2.elapsed().as_nanos() as u64;
 
         let profile = AnalysisProfile {
-            vivu_ns,
-            fixpoint_ns,
             join_ns: cls.join_ns,
             transfer_ns: cls.transfer_ns,
             refine_ns,
@@ -416,25 +316,18 @@ impl WcetAnalysis {
             memo_hits: cls.memo_hits,
             states_interned: cls.states_interned,
             states_fresh: cls.states_fresh,
-            full_analyses: u64::from(!incremental),
-            incremental_analyses: u64::from(incremental),
             nodes_total: vivu.len() as u64,
             nodes_reanalyzed: cls.nodes_reanalyzed as u64,
-            ..AnalysisProfile::default()
+            ..profile
         };
 
         Ok(WcetAnalysis {
             layout,
             vivu,
             acfg,
-            config: *config,
-            l2: l2_cfg,
+            opts,
             l2_class,
             l2_cac,
-            timing: *timing,
-            hw_next_line,
-            refine,
-            threads,
             cfg_sig: cfg_signature(p),
             class,
             cheap_class,
@@ -464,8 +357,8 @@ impl WcetAnalysis {
     /// IPET re-runs in full (it is a cheap DAG longest-path).
     ///
     /// The result is *identical* to a from-scratch
-    /// [`analyze_with_layout`](WcetAnalysis::analyze_with_layout) of
-    /// `(p2, layout2)` — see the `classify` module docs for the fixpoint
+    /// [`analyze`](WcetAnalysis::analyze) of `p2` under `layout2` and this
+    /// analysis's options — see the `classify` module docs for the fixpoint
     /// uniqueness argument; debug builds cross-check this. If the CFG
     /// *did* change, the call transparently falls back to a full
     /// analysis.
@@ -479,15 +372,11 @@ impl WcetAnalysis {
         layout2: Layout,
     ) -> Result<Self, AnalysisError> {
         if cfg_signature(p2) != self.cfg_sig {
-            return Self::analyze_full(
-                p2,
-                layout2,
-                &self.hierarchy(),
-                &self.timing,
-                self.hw_next_line,
-                self.refine,
-                self.threads,
-            );
+            let opts = AnalysisOptions {
+                layout: Some(&layout2),
+                ..self.opts
+            };
+            return Self::analyze(p2, &opts);
         }
 
         let t0 = Instant::now();
@@ -496,14 +385,14 @@ impl WcetAnalysis {
         let vivu_ns = t0.elapsed().as_nanos() as u64;
 
         let t1 = Instant::now();
-        let cls = classify::classify_incremental(
+        let cls = classify::classify(
             p2,
             &layout2,
             &vivu,
             &acfg,
-            &self.config,
-            self.hw_next_line,
-            PrevPass {
+            self.config(),
+            self.opts.hw_next_line,
+            Some(PrevPass {
                 acfg: &self.acfg,
                 // Seed from the *cheap* classification: the skipped-SCC
                 // positional copy must reproduce the fixpoint's own
@@ -513,40 +402,35 @@ impl WcetAnalysis {
                 pf_block: &self.pf_block,
                 out_states: &self.out_states,
                 sigs: &self.sigs,
-            },
+            }),
             &self.cache,
-            self.threads,
+            self.opts.threads,
         )?;
         let fixpoint_ns = t1.elapsed().as_nanos() as u64;
 
+        let profile = AnalysisProfile {
+            vivu_ns,
+            fixpoint_ns,
+            incremental_analyses: 1,
+            ..AnalysisProfile::default()
+        };
         let result = Self::finish(
             p2,
             layout2,
-            vivu,
-            acfg,
-            &self.hierarchy(),
-            &self.timing,
-            self.hw_next_line,
-            self.refine,
-            self.threads,
+            (vivu, acfg),
+            self.opts,
             cls,
             Arc::clone(&self.cache),
-            vivu_ns,
-            fixpoint_ns,
-            true,
+            profile,
         )?;
 
         #[cfg(debug_assertions)]
         {
-            let full = Self::analyze_full(
-                p2,
-                result.layout.clone(),
-                &self.hierarchy(),
-                &self.timing,
-                self.hw_next_line,
-                self.refine,
-                self.threads,
-            )?;
+            let opts = AnalysisOptions {
+                layout: Some(&result.layout),
+                ..self.opts
+            };
+            let full = Self::analyze(p2, &opts)?;
             debug_assert_eq!(
                 result.tau_w, full.tau_w,
                 "incremental re-analysis diverged from from-scratch τ_w"
@@ -611,22 +495,19 @@ impl WcetAnalysis {
     /// The cache geometry analysed against (the L1 level).
     #[inline]
     pub fn config(&self) -> &CacheConfig {
-        &self.config
+        self.opts.hierarchy.l1()
     }
 
     /// The second-level geometry, when the analysed hierarchy has one.
     #[inline]
     pub fn l2_config(&self) -> Option<&CacheConfig> {
-        self.l2.as_ref()
+        self.opts.hierarchy.l2()
     }
 
     /// The full hierarchy this analysis ran under.
-    pub fn hierarchy(&self) -> HierarchyConfig {
-        match self.l2 {
-            Some(l2) => HierarchyConfig::two_level(self.config, l2)
-                .expect("hierarchy validated at analysis entry"),
-            None => HierarchyConfig::l1_only(self.config),
-        }
+    #[inline]
+    pub fn hierarchy(&self) -> &HierarchyConfig {
+        &self.opts.hierarchy
     }
 
     /// L2 classification of reference `r` — `None` for a single-level
@@ -635,20 +516,20 @@ impl WcetAnalysis {
     /// [`Classification::Unclassified`]: no claim is made.
     #[inline]
     pub fn l2_classification(&self, r: RefId) -> Option<Classification> {
-        self.l2.map(|_| self.l2_class[r.index()])
+        self.l2_config().map(|_| self.l2_class[r.index()])
     }
 
     /// The L1-outcome filter reference `r`'s L2 update ran under — `None`
     /// for a single-level hierarchy.
     #[inline]
     pub fn l2_cac(&self, r: RefId) -> Option<CacheAccessClassification> {
-        self.l2.map(|_| self.l2_cac[r.index()])
+        self.l2_config().map(|_| self.l2_cac[r.index()])
     }
 
     /// The timing model analysed against.
     #[inline]
     pub fn timing(&self) -> &MemTiming {
-        &self.timing
+        &self.opts.timing
     }
 
     /// The evaluation memo shared by this analysis's lineage.
@@ -687,7 +568,7 @@ impl WcetAnalysis {
     /// The refinement configuration this analysis ran under.
     #[inline]
     pub fn refine_config(&self) -> RefineConfig {
-        self.refine
+        self.opts.refine
     }
 
     /// Outcome counters of the refinement stage.
@@ -719,6 +600,52 @@ impl WcetAnalysis {
     #[inline]
     pub fn node_on_wcet_path(&self, n: NodeId) -> bool {
         self.on_path[n.index()]
+    }
+
+    /// The abstract (must, may) cache state after VIVU node `n`.
+    #[inline]
+    pub fn out_state(&self, n: NodeId) -> &StatePair {
+        &self.out_states[n.index()]
+    }
+
+    /// Heap bytes this analysis keeps alive: its layout, context and
+    /// reference graphs, per-reference and per-node vectors, and each
+    /// distinct out-state and touched-block signature once (nodes share
+    /// interned ones). The lineage cache is not counted: the optimizer
+    /// empties it before returning its analyses, while a standalone
+    /// analysis keeps its one pass's evaluations there.
+    pub fn heap_bytes(&self) -> usize {
+        let mut seen = HashSet::new();
+        let states: usize = self
+            .out_states
+            .iter()
+            .filter(|s| seen.insert(Arc::as_ptr(s)))
+            .map(|s| std::mem::size_of::<StatePair>() + s.0.heap_bytes() + s.1.heap_bytes())
+            .sum();
+        let mut seen = HashSet::new();
+        let sigs: usize = self
+            .sigs
+            .iter()
+            .filter(|s| seen.insert(Arc::as_ptr(s)))
+            .map(|s| std::mem::size_of_val(&**s) + vec_bytes(s))
+            .sum();
+        self.layout.len() * std::mem::size_of::<u64>()
+            + self.vivu.heap_bytes()
+            + self.acfg.heap_bytes()
+            + vec_bytes(&self.l2_class)
+            + vec_bytes(&self.l2_cac)
+            + vec_bytes(&self.class)
+            + vec_bytes(&self.cheap_class)
+            + vec_bytes(&self.marks)
+            + vec_bytes(&self.mem_block)
+            + vec_bytes(&self.pf_block)
+            + vec_bytes(&self.out_states)
+            + vec_bytes(&self.sigs)
+            + vec_bytes(&self.t_w)
+            + vec_bytes(&self.n_w)
+            + vec_bytes(&self.on_path)
+            + states
+            + sigs
     }
 
     /// Memory block fetched by reference `r`.
@@ -783,7 +710,7 @@ mod tests {
 
     fn analyze(shape: Shape, config: CacheConfig) -> WcetAnalysis {
         let p = shape.compile("t");
-        WcetAnalysis::analyze(&p, &config, &MemTiming::default()).unwrap()
+        WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, MemTiming::default())).unwrap()
     }
 
     #[test]
@@ -859,7 +786,7 @@ mod tests {
         let cfg = CacheConfig::new(2, 16, 128).unwrap();
         let timing = MemTiming::default();
         let p1 = Shape::seq([Shape::code(6), Shape::loop_(8, Shape::code(12))]).compile("ra");
-        let a1 = WcetAnalysis::analyze(&p1, &cfg, &timing).unwrap();
+        let a1 = WcetAnalysis::analyze(&p1, &AnalysisOptions::new(cfg, timing)).unwrap();
 
         let mut p2 = p1.clone();
         let b0 = p2.entry();
@@ -870,7 +797,11 @@ mod tests {
         let layout2 = Layout::anchored(&p2, anchor, a1.layout().addr(anchor));
 
         let inc = a1.reanalyze_after_insert(&p2, layout2.clone()).unwrap();
-        let full = WcetAnalysis::analyze_with_layout(&p2, layout2, &cfg, &timing).unwrap();
+        let opts = AnalysisOptions {
+            layout: Some(&layout2),
+            ..AnalysisOptions::new(cfg, timing)
+        };
+        let full = WcetAnalysis::analyze(&p2, &opts).unwrap();
         assert_eq!(inc.tau_w(), full.tau_w());
         assert_eq!(inc.wcet_misses(), full.wcet_misses());
         assert_eq!(inc.classification_counts(), full.classification_counts());
@@ -883,7 +814,7 @@ mod tests {
         let cfg = CacheConfig::new(2, 16, 256).unwrap();
         let timing = MemTiming::default();
         let p1 = Shape::code(8).compile("fb");
-        let a1 = WcetAnalysis::analyze(&p1, &cfg, &timing).unwrap();
+        let a1 = WcetAnalysis::analyze(&p1, &AnalysisOptions::new(cfg, timing)).unwrap();
         // A structurally different program: the fallback path must produce
         // a correct full analysis rather than touching stale state.
         let p2 = Shape::seq([
@@ -894,8 +825,36 @@ mod tests {
         let inc = a1
             .reanalyze_after_insert(&p2, rtpf_isa::Layout::of(&p2))
             .unwrap();
-        let full = WcetAnalysis::analyze(&p2, &cfg, &timing).unwrap();
+        let full = WcetAnalysis::analyze(&p2, &AnalysisOptions::new(cfg, timing)).unwrap();
         assert_eq!(inc.tau_w(), full.tau_w());
         assert_eq!(inc.profile().full_analyses, 1);
+    }
+
+    #[test]
+    fn hardware_next_line_analysis_stays_single_level() {
+        let l1 = CacheConfig::new(2, 16, 128).unwrap();
+        let l2 = CacheConfig::new(4, 16, 1024).unwrap();
+        let p = Shape::loop_(8, Shape::code(40)).compile("hw");
+        let opts = AnalysisOptions {
+            hw_next_line: Some(1),
+            ..AnalysisOptions::new(
+                HierarchyConfig::two_level(l1, l2).unwrap(),
+                MemTiming::default().with_l2_hit(4),
+            )
+        };
+        let hw = WcetAnalysis::analyze(&p, &opts).unwrap();
+        assert!(hw.l2_config().is_none());
+        assert_eq!(hw.hierarchy(), &HierarchyConfig::l1_only(l1));
+        let r = hw.acfg().refs()[0].id;
+        assert_eq!(hw.l2_classification(r), None);
+        let l1_only = WcetAnalysis::analyze(
+            &p,
+            &AnalysisOptions {
+                hierarchy: l1.into(),
+                ..opts
+            },
+        )
+        .unwrap();
+        assert_eq!(hw.tau_w(), l1_only.tau_w());
     }
 }

@@ -10,7 +10,7 @@
 //! Software prefetch instructions have two effects: their own fetch (a
 //! normal reference to their containing block) and the prefetched block
 //! entering the cache. Following the semantics of next-N-line analysis
-//! extension (reference [22] of the paper), the prefetched block is folded
+//! extension (reference \[22\] of the paper), the prefetched block is folded
 //! into the abstract states at the prefetch point; the insertion criterion
 //! of `rtpf-core` guarantees the latency is hidden on the WCET path.
 //!
@@ -29,8 +29,8 @@
 //!
 //! The same uniqueness argument makes the solver parallel: independent
 //! ready SCCs (indegree zero in the remaining condensation DAG) are
-//! handed to a scoped worker pool ([`classify_parallel`], or the
-//! `threads` knob threaded through the engine). Each SCC is still solved
+//! handed to a scoped worker pool (the `threads` argument of [`classify`],
+//! threaded through from the engine). Each SCC is still solved
 //! by exactly one worker with a deterministic worklist, and cross-SCC
 //! inputs are published write-once, so the computed states — and every
 //! classification derived from them — are bit-identical at any thread
@@ -38,10 +38,10 @@
 //!
 //! # Incremental re-analysis
 //!
-//! [`classify_incremental`] re-runs the fixpoint after a program edit that
-//! preserves the CFG (prefetch insertion never adds blocks or edges). The
-//! solver evaluates the SCCs of the dataflow graph in condensation order,
-//! which makes an exact change-driven cutoff possible:
+//! [`classify`] given a `prev` pass re-runs the fixpoint after a program
+//! edit that preserves the CFG (prefetch insertion never adds blocks or
+//! edges). The solver evaluates the SCCs of the dataflow graph in
+//! condensation order, which makes an exact change-driven cutoff possible:
 //!
 //! * an SCC is **recomputed** (from the same ⊤/⊥ start a from-scratch run
 //!   uses) iff one of its nodes' touched-block signature changed or one of
@@ -123,124 +123,6 @@ pub struct PrevPass<'a> {
     pub pf_block: &'a [Option<MemBlockId>],
     pub out_states: &'a [Arc<StatePair>],
     pub sigs: &'a [NodeSig],
-}
-
-/// Runs the must/may fixpoint and classifies every reference.
-pub fn classify(
-    p: &Program,
-    layout: &Layout,
-    vivu: &VivuGraph,
-    acfg: &Acfg,
-    config: &CacheConfig,
-) -> Result<ClassifyResult, AnalysisError> {
-    classify_with_hw(p, layout, vivu, acfg, config, None)
-}
-
-/// [`classify`] extended with **next-N-line hardware prefetching**
-/// semantics, reproducing the abstract-semantics extension of the paper's
-/// reference [22]: every fetch of block `b` additionally folds blocks
-/// `b+1 ..= b+n` into the abstract states (the "next-line always"
-/// policy).
-///
-/// The resulting classification assumes ideal prefetch timing (the
-/// prefetched line arrives before its first use), so the WCET computed
-/// from it is *optimistic* for hardware prefetching — which is exactly
-/// the comparison the paper draws: hardware prefetching has no safe
-/// WCET story, software insertion does.
-pub fn classify_with_hw(
-    p: &Program,
-    layout: &Layout,
-    vivu: &VivuGraph,
-    acfg: &Acfg,
-    config: &CacheConfig,
-    hw_next_line: Option<u32>,
-) -> Result<ClassifyResult, AnalysisError> {
-    let cache = AnalysisCache::new();
-    run_classify(p, layout, vivu, acfg, config, hw_next_line, None, &cache, 1)
-}
-
-/// [`classify_with_hw`] solving ready SCCs of the condensation DAG on
-/// `threads` scoped worker threads (`1` = in-place sequential). Results
-/// are bit-identical at any thread count; only the eval/memo-hit and
-/// interned/fresh *splits* may shift (their sums stay fixed), because a
-/// racing worker can win the memo slot another would have filled.
-pub fn classify_parallel(
-    p: &Program,
-    layout: &Layout,
-    vivu: &VivuGraph,
-    acfg: &Acfg,
-    config: &CacheConfig,
-    hw_next_line: Option<u32>,
-    threads: usize,
-) -> Result<ClassifyResult, AnalysisError> {
-    let cache = AnalysisCache::new();
-    run_classify(
-        p,
-        layout,
-        vivu,
-        acfg,
-        config,
-        hw_next_line,
-        None,
-        &cache,
-        threads,
-    )
-}
-
-/// [`classify_with_hw`] recording its evaluations into a caller-provided
-/// lineage cache, so later incremental passes can reuse them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn classify_full_cached(
-    p: &Program,
-    layout: &Layout,
-    vivu: &VivuGraph,
-    acfg: &Acfg,
-    config: &CacheConfig,
-    hw_next_line: Option<u32>,
-    cache: &AnalysisCache,
-    threads: usize,
-) -> Result<ClassifyResult, AnalysisError> {
-    run_classify(
-        p,
-        layout,
-        vivu,
-        acfg,
-        config,
-        hw_next_line,
-        None,
-        cache,
-        threads,
-    )
-}
-
-/// Re-classifies after a CFG-preserving program edit, recomputing only the
-/// SCCs whose touched-block signature or inputs changed (see the module
-/// docs) and answering repeated node evaluations from `cache`, which is
-/// shared across every analysis of the lineage. Produces results
-/// identical to [`classify_with_hw`] on the new program.
-#[allow(clippy::too_many_arguments)]
-pub fn classify_incremental(
-    p: &Program,
-    layout: &Layout,
-    vivu: &VivuGraph,
-    acfg: &Acfg,
-    config: &CacheConfig,
-    hw_next_line: Option<u32>,
-    prev: PrevPass<'_>,
-    cache: &AnalysisCache,
-    threads: usize,
-) -> Result<ClassifyResult, AnalysisError> {
-    run_classify(
-        p,
-        layout,
-        vivu,
-        acfg,
-        config,
-        hw_next_line,
-        Some(prev),
-        cache,
-        threads,
-    )
 }
 
 /// Fills `buf` with one node's touched-block signature: the per-reference
@@ -818,8 +700,30 @@ fn solve_parallel(
     }
 }
 
+/// Runs the must/may fixpoint and classifies every reference.
+///
+/// * `hw_next_line` adds **next-N-line hardware prefetching** semantics,
+///   reproducing the abstract-semantics extension of the paper's
+///   reference \[22\]: every fetch of block `b` additionally folds blocks
+///   `b+1 ..= b+n` into the abstract states (the "next-line always"
+///   policy). The resulting classification assumes ideal prefetch timing
+///   (the prefetched line arrives before its first use), so the WCET
+///   computed from it is *optimistic* for hardware prefetching — which is
+///   exactly the comparison the paper draws: hardware prefetching has no
+///   safe WCET story, software insertion does.
+/// * `prev` makes the run incremental after a CFG-preserving program
+///   edit: only the SCCs whose touched-block signature or inputs changed
+///   are recomputed (see the module docs), with results identical to a
+///   from-scratch run on the new program.
+/// * `cache` records the run's node evaluations and answers repeated
+///   ones; it is shared across every analysis of a lineage.
+/// * `threads` solves ready SCCs of the condensation DAG on scoped worker
+///   threads (`1` = in-place sequential). Results are bit-identical at any
+///   thread count; only the eval/memo-hit and interned/fresh *splits* may
+///   shift (their sums stay fixed), because a racing worker can win the
+///   memo slot another would have filled.
 #[allow(clippy::too_many_arguments)]
-fn run_classify(
+pub fn classify(
     p: &Program,
     layout: &Layout,
     vivu: &VivuGraph,
@@ -963,12 +867,33 @@ mod tests {
     use super::*;
     use rtpf_isa::shape::Shape;
 
+    /// A from-scratch, single-threaded run without hardware prefetching.
+    fn classify_plain(
+        p: &Program,
+        layout: &Layout,
+        vivu: &VivuGraph,
+        acfg: &Acfg,
+        config: &CacheConfig,
+    ) -> Result<ClassifyResult, AnalysisError> {
+        classify(
+            p,
+            layout,
+            vivu,
+            acfg,
+            config,
+            None,
+            None,
+            &AnalysisCache::new(),
+            1,
+        )
+    }
+
     fn run(shape: Shape, config: CacheConfig) -> (Program, Acfg, ClassifyResult) {
         let p = shape.compile("t");
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify(&p, &layout, &v, &a, &config).unwrap();
+        let c = classify_plain(&p, &layout, &v, &a, &config).unwrap();
         (p, a, c)
     }
 
@@ -995,7 +920,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify(&p, &layout, &v, &a, &cfg).unwrap();
+        let c = classify_plain(&p, &layout, &v, &a, &cfg).unwrap();
         for r in a.refs() {
             let node = v.node(r.node);
             let is_rest = node
@@ -1023,7 +948,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify(&p, &layout, &v, &a, &cfg).unwrap();
+        let c = classify_plain(&p, &layout, &v, &a, &cfg).unwrap();
         let rest_misses = a
             .refs()
             .iter()
@@ -1054,7 +979,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify(&p, &layout, &v, &a, &cfg).unwrap();
+        let c = classify_plain(&p, &layout, &v, &a, &cfg).unwrap();
         // Find the reference fetching `target`.
         let r = a.refs().iter().find(|r| r.instr == target).unwrap();
         assert_eq!(c.class[r.id.index()], Classification::AlwaysHit);
@@ -1071,8 +996,19 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let plain = classify(&p, &layout, &v, &a, &cfg).unwrap();
-        let hw = classify_with_hw(&p, &layout, &v, &a, &cfg, Some(1)).unwrap();
+        let plain = classify_plain(&p, &layout, &v, &a, &cfg).unwrap();
+        let hw = classify(
+            &p,
+            &layout,
+            &v,
+            &a,
+            &cfg,
+            Some(1),
+            None,
+            &AnalysisCache::new(),
+            1,
+        )
+        .unwrap();
         let misses = |c: &ClassifyResult| c.class.iter().filter(|x| x.counts_as_miss()).count();
         assert_eq!(misses(&plain), 8, "32 instrs = 8 cold blocks");
         assert_eq!(misses(&hw), 1, "only the very first block misses");
@@ -1119,8 +1055,30 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let seq = classify_parallel(&p, &layout, &v, &a, &cfg, None, 1).unwrap();
-        let par = classify_parallel(&p, &layout, &v, &a, &cfg, None, 3).unwrap();
+        let seq = classify(
+            &p,
+            &layout,
+            &v,
+            &a,
+            &cfg,
+            None,
+            None,
+            &AnalysisCache::new(),
+            1,
+        )
+        .unwrap();
+        let par = classify(
+            &p,
+            &layout,
+            &v,
+            &a,
+            &cfg,
+            None,
+            None,
+            &AnalysisCache::new(),
+            3,
+        )
+        .unwrap();
         assert_eq!(par.class, seq.class);
         assert_eq!(par.mem_block, seq.mem_block);
         assert_eq!(par.pf_block, seq.pf_block);
@@ -1146,7 +1104,7 @@ mod tests {
         let layout1 = Layout::of(&p1);
         let v = VivuGraph::build(&p1).unwrap();
         let a1 = Acfg::build(&p1, &v);
-        let c1 = classify(&p1, &layout1, &v, &a1, &cfg).unwrap();
+        let c1 = classify_plain(&p1, &layout1, &v, &a1, &cfg).unwrap();
 
         let mut p2 = p1.clone();
         let b0 = p2.entry();
@@ -1157,22 +1115,22 @@ mod tests {
         let layout2 = Layout::anchored(&p2, anchor, layout1.addr(anchor));
 
         let a2 = Acfg::build(&p2, &v);
-        let full = classify(&p2, &layout2, &v, &a2, &cfg).unwrap();
-        let inc = classify_incremental(
+        let full = classify_plain(&p2, &layout2, &v, &a2, &cfg).unwrap();
+        let inc = classify(
             &p2,
             &layout2,
             &v,
             &a2,
             &cfg,
             None,
-            PrevPass {
+            Some(PrevPass {
                 acfg: &a1,
                 class: &c1.class,
                 mem_block: &c1.mem_block,
                 pf_block: &c1.pf_block,
                 out_states: &c1.out_states,
                 sigs: &c1.sigs,
-            },
+            }),
             &AnalysisCache::new(),
             1,
         )
@@ -1196,22 +1154,22 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c1 = classify(&p, &layout, &v, &a, &cfg).unwrap();
-        let inc = classify_incremental(
+        let c1 = classify_plain(&p, &layout, &v, &a, &cfg).unwrap();
+        let inc = classify(
             &p,
             &layout,
             &v,
             &a,
             &cfg,
             None,
-            PrevPass {
+            Some(PrevPass {
                 acfg: &a,
                 class: &c1.class,
                 mem_block: &c1.mem_block,
                 pf_block: &c1.pf_block,
                 out_states: &c1.out_states,
                 sigs: &c1.sigs,
-            },
+            }),
             &AnalysisCache::new(),
             1,
         )

@@ -1,8 +1,8 @@
 //! Cache-aware WCET analysis: VIVU, ACFG, and IPET.
 //!
 //! This crate substitutes for the WCET analyzer the paper's authors built
-//! on references [8] (Ferdinand-style abstract cache semantics + VIVU) and
-//! [21] / [11] (IPET). The pipeline is:
+//! on references \[8\] (Ferdinand-style abstract cache semantics + VIVU) and
+//! \[21\] / \[11\] (IPET). The pipeline is:
 //!
 //! 1. [`vivu`] — *Virtual Inlining, Virtual Unrolling*: peel every natural
 //!    loop once, distinguishing the **first** iteration from the **rest**,
@@ -19,19 +19,20 @@
 //! 4. [`acfg`] — the reference-level DAG (the paper's ACFG, Definition 6)
 //!    consumed by the prefetch optimizer in `rtpf-core`.
 //!
-//! The entry point is [`analysis::WcetAnalysis::analyze`].
+//! The entry point is [`analysis::WcetAnalysis::analyze`], configured by
+//! [`analysis::AnalysisOptions`].
 //!
 //! # Example
 //!
 //! ```
 //! use rtpf_cache::{CacheConfig, MemTiming};
 //! use rtpf_isa::shape::Shape;
-//! use rtpf_wcet::WcetAnalysis;
+//! use rtpf_wcet::{AnalysisOptions, WcetAnalysis};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = Shape::loop_(10, Shape::code(24)).compile("loop");
 //! let config = CacheConfig::new(2, 16, 256)?;
-//! let a = WcetAnalysis::analyze(&p, &config, &MemTiming::default())?;
+//! let a = WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, MemTiming::default()))?;
 //! assert!(a.tau_w() > 0);
 //! # Ok(())
 //! # }
@@ -53,7 +54,7 @@ pub mod refine;
 pub mod vivu;
 
 pub use acfg::{Acfg, RefId, Reference};
-pub use analysis::WcetAnalysis;
+pub use analysis::{AnalysisOptions, WcetAnalysis};
 pub use context::{Context, Iter};
 pub use error::AnalysisError;
 pub use memo::AnalysisCache;
@@ -61,3 +62,8 @@ pub use persistence::{persistence_report, tau_w_first_miss, PersistenceReport};
 pub use profile::AnalysisProfile;
 pub use refine::RefineStats;
 pub use vivu::{NodeId, VivuGraph, VivuNode};
+
+/// Heap bytes a vector keeps allocated.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}

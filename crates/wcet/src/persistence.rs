@@ -5,7 +5,7 @@
 //! be evicted again (e.g. code reached through only one arm of a
 //! conditional inside a loop: the must join drops it, but nothing ever
 //! displaces it). The persistence analysis
-//! ([`PersistenceState`](rtpf_cache::PersistenceState)) proves exactly
+//! ([`PersistenceState`]) proves exactly
 //! that property, turning such references into **first miss**: one miss
 //! per run, hits afterwards.
 //!
@@ -154,12 +154,14 @@ pub fn tau_w_first_miss(p: &Program, a: &WcetAnalysis) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AnalysisOptions;
     use rtpf_cache::{CacheConfig, MemTiming};
     use rtpf_isa::shape::Shape;
 
     fn analyze(shape: Shape, config: CacheConfig) -> (Program, WcetAnalysis) {
         let p = shape.compile("t");
-        let a = WcetAnalysis::analyze(&p, &config, &MemTiming::default()).unwrap();
+        let a =
+            WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, MemTiming::default())).unwrap();
         (p, a)
     }
 

@@ -486,7 +486,7 @@ mod tests {
     use rtpf_isa::shape::Shape;
     use rtpf_isa::Layout;
 
-    use crate::analysis::WcetAnalysis;
+    use crate::analysis::{AnalysisOptions, WcetAnalysis};
 
     fn analyze(shape: &Shape, policy: ReplacementPolicy, refine: RefineConfig) -> WcetAnalysis {
         analyze_in(shape, policy, refine, CacheConfig::new(2, 16, 256).unwrap())
@@ -500,8 +500,11 @@ mod tests {
     ) -> WcetAnalysis {
         let p = shape.clone().compile("refine-t");
         let cfg = geometry.with_policy(policy).unwrap();
-        WcetAnalysis::analyze_refined(&p, Layout::of(&p), &cfg, &MemTiming::default(), refine)
-            .unwrap()
+        let opts = AnalysisOptions {
+            refine,
+            ..AnalysisOptions::new(cfg, MemTiming::default())
+        };
+        WcetAnalysis::analyze(&p, &opts).unwrap()
     }
 
     #[test]
@@ -579,24 +582,12 @@ mod tests {
             .with_policy(ReplacementPolicy::Fifo)
             .unwrap();
         let timing = MemTiming::default();
-        let seq = WcetAnalysis::analyze_parallel(
-            &p,
-            Layout::of(&p),
-            &cfg,
-            &timing,
-            RefineConfig::on(),
-            1,
-        )
-        .unwrap();
-        let par = WcetAnalysis::analyze_parallel(
-            &p,
-            Layout::of(&p),
-            &cfg,
-            &timing,
-            RefineConfig::on(),
-            3,
-        )
-        .unwrap();
+        let opts = AnalysisOptions {
+            refine: RefineConfig::on(),
+            ..AnalysisOptions::new(cfg, timing)
+        };
+        let seq = WcetAnalysis::analyze(&p, &opts).unwrap();
+        let par = WcetAnalysis::analyze(&p, &AnalysisOptions { threads: 3, ..opts }).unwrap();
         assert_eq!(seq.tau_w(), par.tau_w());
         assert_eq!(seq.refine_stats(), par.refine_stats());
         for r in seq.acfg().refs() {
@@ -667,7 +658,7 @@ mod tests {
             .unwrap();
         let timing = MemTiming::default();
         let p1 = Shape::seq([Shape::code(6), Shape::loop_(8, Shape::code(12))]).compile("ri");
-        let a1 = WcetAnalysis::analyze(&p1, &cfg, &timing).unwrap();
+        let a1 = WcetAnalysis::analyze(&p1, &AnalysisOptions::new(cfg, timing)).unwrap();
 
         let mut p2 = p1.clone();
         let b0 = p2.entry();
@@ -686,7 +677,11 @@ mod tests {
         assert!(memoized > 0);
         let again = a1.reanalyze_after_insert(&p2, layout2.clone()).unwrap();
         assert_eq!(again.lineage_cache().refine_memo_len(), memoized);
-        let full = WcetAnalysis::analyze_with_layout(&p2, layout2, &cfg, &timing).unwrap();
+        let opts = AnalysisOptions {
+            layout: Some(&layout2),
+            ..AnalysisOptions::new(cfg, timing)
+        };
+        let full = WcetAnalysis::analyze(&p2, &opts).unwrap();
         for inc in [inc, again] {
             assert_eq!(inc.tau_w(), full.tau_w());
             assert_eq!(inc.classification_counts(), full.classification_counts());

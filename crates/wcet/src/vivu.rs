@@ -16,6 +16,7 @@ use rtpf_isa::{BlockId, Program};
 
 use crate::context::{Context, Iter};
 use crate::error::AnalysisError;
+use crate::vec_bytes;
 
 /// Budget on VIVU nodes before reporting context explosion.
 const MAX_NODES: usize = 200_000;
@@ -322,6 +323,23 @@ impl VivuGraph {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Heap bytes of the graph's arrays and its nodes' context stacks.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let frames: usize = self
+            .nodes
+            .iter()
+            .map(|n| std::mem::size_of_val(n.ctx.frames()))
+            .sum();
+        frames
+            + vec_bytes(&self.nodes)
+            + vec_bytes(&self.succ_off)
+            + vec_bytes(&self.succ_dat)
+            + vec_bytes(&self.pred_off)
+            + vec_bytes(&self.pred_dat)
+            + vec_bytes(&self.back_edges)
+            + vec_bytes(&self.topo)
     }
 
     /// The node for `(block, ctx)`, if it was reachable.

@@ -14,7 +14,7 @@ use rtpf_cache::{
 };
 use rtpf_isa::shape::Shape;
 use rtpf_isa::{InstrId, InstrKind, Layout, Program};
-use rtpf_wcet::WcetAnalysis;
+use rtpf_wcet::{AnalysisOptions, WcetAnalysis};
 
 /// Random structured programs: bounded depth, bounded loop bounds.
 fn shapes() -> impl Strategy<Value = Shape> {
@@ -71,14 +71,11 @@ proptest! {
         let timing = MemTiming::default();
         let p = shape.compile("prop");
         let (_, config) = CacheConfig::paper_configs().swap_remove(ki);
-        let single = WcetAnalysis::analyze(&p, &config, &timing).expect("single-level");
-        let hier = WcetAnalysis::analyze_hierarchy(
+        let single =
+            WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, timing)).expect("single-level");
+        let hier = WcetAnalysis::analyze(
             &p,
-            Layout::of(&p),
-            &HierarchyConfig::l1_only(config),
-            &timing,
-            Default::default(),
-            1,
+            &AnalysisOptions::new(HierarchyConfig::l1_only(config), timing),
         )
         .expect("degenerate hierarchy");
         prop_assert_eq!(single.tau_w(), hier.tau_w());
@@ -99,15 +96,8 @@ proptest! {
         hierarchy in hierarchies(),
     ) {
         let p = shape.compile("prop");
-        let a = WcetAnalysis::analyze_hierarchy(
-            &p,
-            Layout::of(&p),
-            &hierarchy,
-            &timing(),
-            Default::default(),
-            1,
-        )
-        .expect("two-level analysis");
+        let a = WcetAnalysis::analyze(&p, &AnalysisOptions::new(hierarchy, timing()))
+            .expect("two-level analysis");
         for r in a.acfg().refs() {
             let cac = a.l2_cac(r.id).expect("two-level hierarchy has a CAC");
             match a.classification(r.id) {
@@ -136,16 +126,10 @@ proptest! {
     ) {
         let p = shape.compile("prop");
         let t = timing();
-        let single = WcetAnalysis::analyze(&p, hierarchy.l1(), &t).expect("single-level");
-        let hier = WcetAnalysis::analyze_hierarchy(
-            &p,
-            Layout::of(&p),
-            &hierarchy,
-            &t,
-            Default::default(),
-            1,
-        )
-        .expect("two-level analysis");
+        let single = WcetAnalysis::analyze(&p, &AnalysisOptions::new(*hierarchy.l1(), t))
+            .expect("single-level");
+        let hier = WcetAnalysis::analyze(&p, &AnalysisOptions::new(hierarchy, t))
+            .expect("two-level analysis");
         // Per reference, charging an L2 hit can only lower the bound.
         for r in single.acfg().refs() {
             prop_assert!(hier.t_w(r.id) <= single.t_w(r.id));
@@ -162,15 +146,8 @@ proptest! {
     ) {
         let t = timing();
         let p1 = shape.compile("prop");
-        let a1 = WcetAnalysis::analyze_hierarchy(
-            &p1,
-            Layout::of(&p1),
-            &hierarchy,
-            &t,
-            Default::default(),
-            1,
-        )
-        .expect("base analysis");
+        let a1 = WcetAnalysis::analyze(&p1, &AnalysisOptions::new(hierarchy, t))
+            .expect("base analysis");
 
         let instrs = all_instrs(&p1);
         let anchor = instrs[anchor_sel % instrs.len()];
@@ -185,15 +162,11 @@ proptest! {
         let inc = a1
             .reanalyze_after_insert(&p2, layout2.clone())
             .expect("incremental analysis");
-        let full = WcetAnalysis::analyze_hierarchy(
-            &p2,
-            layout2,
-            &hierarchy,
-            &t,
-            Default::default(),
-            1,
-        )
-        .expect("from-scratch analysis");
+        let opts = AnalysisOptions {
+            layout: Some(&layout2),
+            ..AnalysisOptions::new(hierarchy, t)
+        };
+        let full = WcetAnalysis::analyze(&p2, &opts).expect("from-scratch analysis");
 
         prop_assert_eq!(inc.tau_w(), full.tau_w());
         prop_assert_eq!(inc.classification_counts(), full.classification_counts());

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rtpf_cache::{CacheConfig, MemTiming};
 use rtpf_isa::shape::Shape;
 use rtpf_isa::{InstrId, InstrKind, Layout, Program};
-use rtpf_wcet::WcetAnalysis;
+use rtpf_wcet::{AnalysisOptions, WcetAnalysis};
 
 /// Random structured programs: bounded depth, bounded loop bounds.
 fn shapes() -> impl Strategy<Value = Shape> {
@@ -43,7 +43,8 @@ proptest! {
         let timing = MemTiming::default();
         let p1 = shape.compile("prop");
         let (_, config) = CacheConfig::paper_configs().swap_remove(ki);
-        let a1 = WcetAnalysis::analyze(&p1, &config, &timing).expect("base analysis");
+        let a1 = WcetAnalysis::analyze(&p1, &AnalysisOptions::new(config, timing))
+            .expect("base analysis");
 
         // Insert a prefetch of a random target before a random anchor,
         // relocating exactly like the optimizer does.
@@ -60,8 +61,11 @@ proptest! {
         let inc = a1
             .reanalyze_after_insert(&p2, layout2.clone())
             .expect("incremental analysis");
-        let full = WcetAnalysis::analyze_with_layout(&p2, layout2, &config, &timing)
-            .expect("from-scratch analysis");
+        let opts = AnalysisOptions {
+            layout: Some(&layout2),
+            ..AnalysisOptions::new(config, timing)
+        };
+        let full = WcetAnalysis::analyze(&p2, &opts).expect("from-scratch analysis");
 
         prop_assert_eq!(inc.tau_w(), full.tau_w());
         prop_assert_eq!(inc.wcet_misses(), full.wcet_misses());
@@ -88,7 +92,8 @@ proptest! {
         let timing = MemTiming::default();
         let mut p = shape.compile("prop");
         let (_, config) = CacheConfig::paper_configs().swap_remove(ki);
-        let mut cur = WcetAnalysis::analyze(&p, &config, &timing).expect("base analysis");
+        let mut cur = WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, timing))
+            .expect("base analysis");
         for (anchor_sel, target_sel) in sels {
             let instrs = all_instrs(&p);
             let anchor = instrs[anchor_sel % instrs.len()];
@@ -102,8 +107,11 @@ proptest! {
             let inc = cur
                 .reanalyze_after_insert(&p2, layout2.clone())
                 .expect("incremental analysis");
-            let full = WcetAnalysis::analyze_with_layout(&p2, layout2, &config, &timing)
-                .expect("from-scratch analysis");
+            let opts = AnalysisOptions {
+                layout: Some(&layout2),
+                ..AnalysisOptions::new(config, timing)
+            };
+            let full = WcetAnalysis::analyze(&p2, &opts).expect("from-scratch analysis");
             prop_assert_eq!(inc.tau_w(), full.tau_w());
             prop_assert_eq!(inc.classification_counts(), full.classification_counts());
             p = p2;

@@ -1,5 +1,5 @@
-//! Thread-count invariance of the full analysis: `analyze_parallel` at
-//! any worker count must be indistinguishable from the sequential run —
+//! Thread-count invariance of the full analysis: `analyze` at any
+//! `AnalysisOptions::threads` count must be indistinguishable from the sequential run —
 //! same `τ_w`, same per-reference classifications, marks and WCET counts,
 //! same deterministic work counters — across the benchmark suite, the
 //! paper's Table 2 geometries, and all three replacement policies.
@@ -11,8 +11,7 @@
 //! of ready SCCs cannot change a single output byte.
 
 use rtpf_cache::{CacheConfig, MemTiming, RefineConfig, ReplacementPolicy};
-use rtpf_isa::Layout;
-use rtpf_wcet::WcetAnalysis;
+use rtpf_wcet::{AnalysisOptions, WcetAnalysis};
 
 /// Cheap-but-diverse suite slice: branchy, loop-nest and state-machine
 /// shapes spanning small and large reference footprints.
@@ -96,25 +95,15 @@ fn parallel_analysis_matches_sequential_across_suite_and_policies() {
             let (_, geo) = &configs[ki];
             for policy in ReplacementPolicy::ALL {
                 let config = geo.with_policy(policy).expect("Table 2 supports policy");
-                let seq = WcetAnalysis::analyze_parallel(
-                    &b.program,
-                    Layout::of(&b.program),
-                    &config,
-                    &timing,
-                    RefineConfig::on(),
-                    1,
-                )
-                .expect("sequential analysis");
+                let opts = AnalysisOptions {
+                    refine: RefineConfig::on(),
+                    ..AnalysisOptions::new(config, timing)
+                };
+                let seq = WcetAnalysis::analyze(&b.program, &opts).expect("sequential analysis");
                 for threads in [2, 3] {
-                    let par = WcetAnalysis::analyze_parallel(
-                        &b.program,
-                        Layout::of(&b.program),
-                        &config,
-                        &timing,
-                        RefineConfig::on(),
-                        threads,
-                    )
-                    .expect("parallel analysis");
+                    let par =
+                        WcetAnalysis::analyze(&b.program, &AnalysisOptions { threads, ..opts })
+                            .expect("parallel analysis");
                     assert_same(name, ki, policy, &seq, &par);
                 }
             }

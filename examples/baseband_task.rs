@@ -20,7 +20,7 @@ use unlocked_prefetch::core::{OptimizeParams, Optimizer};
 use unlocked_prefetch::energy::{EnergyModel, Technology};
 use unlocked_prefetch::isa::shape::Shape;
 use unlocked_prefetch::sim::{SimConfig, Simulator};
-use unlocked_prefetch::wcet::WcetAnalysis;
+use unlocked_prefetch::wcet::{AnalysisOptions, WcetAnalysis};
 
 fn baseband() -> unlocked_prefetch::isa::Program {
     Shape::seq([
@@ -42,8 +42,8 @@ fn baseband() -> unlocked_prefetch::isa::Program {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = baseband();
     let config = CacheConfig::new(4, 16, 256)?;
-    let model45 = EnergyModel::new(&config, Technology::Nm45);
-    let model32 = EnergyModel::new(&config, Technology::Nm32);
+    let model45 = EnergyModel::new(config, Technology::Nm45);
+    let model32 = EnergyModel::new(config, Technology::Nm32);
     let timing = model45.timing();
     println!(
         "baseband task: {} instrs ({} B) on a {config} cache\n",
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 1. Baseline: on-demand fetching.
-    let base = WcetAnalysis::analyze(&program, &config, &timing)?;
+    let base = WcetAnalysis::analyze(&program, &AnalysisOptions::new(config, timing))?;
     let sim = Simulator::new(config, timing, SimConfig::default());
     let base_run = sim.run(&program)?;
 

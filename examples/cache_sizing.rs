@@ -47,18 +47,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Reference: original program on the largest cache.
     let full = CacheConfig::new(2, 16, 2048)?;
-    let full_model = EnergyModel::new(&full, Technology::Nm32);
+    let full_model = EnergyModel::new(full, Technology::Nm32);
     let timing = full_model.timing();
     let sim = |cfg: CacheConfig, p: &unlocked_prefetch::isa::Program| {
-        let m = EnergyModel::new(&cfg, Technology::Nm32);
+        let m = EnergyModel::new(cfg, Technology::Nm32);
         let r = Simulator::new(cfg, m.timing(), SimConfig::default())
             .run(p)
             .expect("task simulates");
         (r.acet_cycles(), m.energy_of(&r.mean_stats()).total_nj())
     };
     let (ref_acet, ref_energy) = sim(full, &program);
-    let ref_wcet =
-        unlocked_prefetch::wcet::WcetAnalysis::analyze(&program, &full, &timing)?.tau_w();
+    let ref_wcet = unlocked_prefetch::wcet::WcetAnalysis::analyze(
+        &program,
+        &unlocked_prefetch::wcet::AnalysisOptions::new(full, timing),
+    )?
+    .tau_w();
     println!("reference: original program on {full}:");
     println!("  WCET {ref_wcet} cycles, ACET {ref_acet:.0} cycles, energy {ref_energy:.0} nJ\n");
 
@@ -69,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut best: Option<u32> = None;
     for capacity in [2048u32, 1024, 512, 256] {
         let cfg = CacheConfig::new(2, 16, capacity)?;
-        let m = EnergyModel::new(&cfg, Technology::Nm32);
+        let m = EnergyModel::new(cfg, Technology::Nm32);
         let opt = Optimizer::new(
             cfg,
             OptimizeParams {

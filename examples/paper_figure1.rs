@@ -16,9 +16,9 @@
 //! ```
 
 use unlocked_prefetch::cache::{CacheConfig, MemTiming};
-use unlocked_prefetch::core::{candidates, OptimizeParams, Optimizer};
+use unlocked_prefetch::core::{candidates, JoinPolicy, OptimizeParams, Optimizer};
 use unlocked_prefetch::isa::shape::Shape;
-use unlocked_prefetch::wcet::WcetAnalysis;
+use unlocked_prefetch::wcet::{AnalysisOptions, WcetAnalysis};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A bounded loop with a conditional body, slightly over-subscribing
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = CacheConfig::new(2, 16, 128)?;
     let timing = MemTiming::default();
 
-    let before = WcetAnalysis::analyze(&program, &config, &timing)?;
+    let before = WcetAnalysis::analyze(&program, &AnalysisOptions::new(config, timing))?;
     println!(
         "program: {} instructions over {} VIVU contexts, {} references",
         program.instr_count(),
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Figure 1b: the reverse analysis' raw detections (Algorithm 1 line 2,
     // with the J_SE join of Figure 2 at merges).
-    let cands = candidates::scan(&program, &before);
+    let cands = candidates::scan(&program, &before, JoinPolicy::WcetPath);
     println!(
         "\nreverse analysis found {} replacement points, e.g.:",
         cands.len()

@@ -57,8 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let theorem = check(
         &program,
         &result.program,
-        result.analysis_after.layout().clone(),
-        &config,
+        result.analysis_after.layout(),
+        config,
         &timing,
     )?;
     println!("\nTheorem 1 check: {theorem:?}");

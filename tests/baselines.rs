@@ -19,7 +19,7 @@ fn test_sim() -> SimConfig {
 fn hw_schemes_all_run_on_a_suite_program() {
     let b = unlocked_prefetch::suite::by_name("edn").expect("edn");
     let config = CacheConfig::new(2, 16, 512).expect("valid");
-    let timing = EnergyModel::new(&config, Technology::Nm45).timing();
+    let timing = EnergyModel::new(config, Technology::Nm45).timing();
     for scheme in [
         HwScheme::NextLine { n: 1 },
         HwScheme::NextLine { n: 2 },
@@ -42,7 +42,7 @@ fn next_line_helps_streaming_but_software_prefetch_keeps_the_wcet_bound() {
     // with a provable bound (checked by Theorem 1 in the core crate).
     let b = unlocked_prefetch::suite::by_name("jfdctint").expect("jfdctint");
     let config = CacheConfig::new(2, 16, 1024).expect("valid");
-    let timing = EnergyModel::new(&config, Technology::Nm45).timing();
+    let timing = EnergyModel::new(config, Technology::Nm45).timing();
     let base = Simulator::new(config, timing, test_sim())
         .run(&b.program)
         .expect("simulates");
@@ -80,7 +80,7 @@ fn wrong_path_pollutes_more_than_target() {
     // that shows up as extra fills (the pollution the paper mentions).
     let b = unlocked_prefetch::suite::by_name("statemate").expect("statemate");
     let config = CacheConfig::new(1, 16, 256).expect("valid");
-    let timing = EnergyModel::new(&config, Technology::Nm45).timing();
+    let timing = EnergyModel::new(config, Technology::Nm45).timing();
     let target =
         simulate_hw(&b.program, config, timing, test_sim(), HwScheme::Target).expect("simulates");
     let wrong = simulate_hw(&b.program, config, timing, test_sim(), HwScheme::WrongPath)

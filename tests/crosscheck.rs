@@ -6,7 +6,7 @@ use unlocked_prefetch::cache::{CacheConfig, MemTiming};
 use unlocked_prefetch::isa::shape::Shape;
 use unlocked_prefetch::isa::text;
 use unlocked_prefetch::sim::{BranchBehavior, SimConfig, Simulator};
-use unlocked_prefetch::wcet::WcetAnalysis;
+use unlocked_prefetch::wcet::{AnalysisOptions, WcetAnalysis};
 
 /// For a straight-line program there is exactly one path: the WCET bound
 /// and the simulated run must agree cycle for cycle.
@@ -17,7 +17,8 @@ fn analysis_equals_simulation_on_straight_line_code() {
         for (a, b, c) in [(1u32, 16u32, 64u32), (2, 16, 256), (4, 32, 1024)] {
             let config = CacheConfig::new(a, b, c).expect("valid");
             let timing = MemTiming::default();
-            let analysis = WcetAnalysis::analyze(&p, &config, &timing).expect("analyzes");
+            let analysis =
+                WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, timing)).expect("analyzes");
             let sim = Simulator::new(
                 config,
                 timing,
@@ -55,7 +56,8 @@ fn bound_dominates_single_path_loops() {
         .compile("loop");
         let config = CacheConfig::new(2, 16, 128).expect("valid");
         let timing = MemTiming::default();
-        let analysis = WcetAnalysis::analyze(&p, &config, &timing).expect("analyzes");
+        let analysis =
+            WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, timing)).expect("analyzes");
         let sim = Simulator::new(
             config,
             timing,
@@ -113,8 +115,10 @@ fn analysis_is_deterministic() {
     let b = unlocked_prefetch::suite::by_name("qurt").expect("qurt");
     let config = CacheConfig::new(2, 16, 512).expect("valid");
     let timing = MemTiming::default();
-    let a1 = WcetAnalysis::analyze(&b.program, &config, &timing).expect("analyzes");
-    let a2 = WcetAnalysis::analyze(&b.program, &config, &timing).expect("analyzes");
+    let a1 =
+        WcetAnalysis::analyze(&b.program, &AnalysisOptions::new(config, timing)).expect("analyzes");
+    let a2 =
+        WcetAnalysis::analyze(&b.program, &AnalysisOptions::new(config, timing)).expect("analyzes");
     assert_eq!(a1.tau_w(), a2.tau_w());
     assert_eq!(a1.classification_counts(), a2.classification_counts());
     for r in a1.acfg().refs() {

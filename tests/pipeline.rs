@@ -7,7 +7,7 @@ use unlocked_prefetch::cache::CacheConfig;
 use unlocked_prefetch::core::{check, prefetch_equivalent, OptimizeParams, Optimizer};
 use unlocked_prefetch::energy::{EnergyModel, Technology};
 use unlocked_prefetch::sim::{SimConfig, Simulator};
-use unlocked_prefetch::wcet::WcetAnalysis;
+use unlocked_prefetch::wcet::{AnalysisOptions, WcetAnalysis};
 
 fn test_sim() -> SimConfig {
     SimConfig {
@@ -21,7 +21,7 @@ fn test_sim() -> SimConfig {
 fn full_pipeline_on_a_conflicting_benchmark() {
     let b = unlocked_prefetch::suite::by_name("fft1").expect("fft1 exists");
     let config = CacheConfig::new(2, 16, 1024).expect("valid geometry");
-    let model = EnergyModel::new(&config, Technology::Nm32);
+    let model = EnergyModel::new(config, Technology::Nm32);
     let timing = model.timing();
 
     // Analyze + optimize.
@@ -40,8 +40,8 @@ fn full_pipeline_on_a_conflicting_benchmark() {
     let theorem = check(
         &b.program,
         &opt.program,
-        opt.analysis_after.layout().clone(),
-        &config,
+        opt.analysis_after.layout(),
+        config,
         &timing,
     )
     .expect("verifies");
@@ -64,10 +64,10 @@ fn full_pipeline_on_a_conflicting_benchmark() {
 #[test]
 fn every_suite_program_survives_the_pipeline_on_one_config() {
     let config = CacheConfig::new(2, 16, 512).expect("valid geometry");
-    let timing = EnergyModel::new(&config, Technology::Nm45).timing();
+    let timing = EnergyModel::new(config, Technology::Nm45).timing();
     for b in unlocked_prefetch::suite::catalog() {
         // Analysis.
-        let a = WcetAnalysis::analyze(&b.program, &config, &timing)
+        let a = WcetAnalysis::analyze(&b.program, &AnalysisOptions::new(config, timing))
             .unwrap_or_else(|e| panic!("{} failed analysis: {e}", b.name));
         assert!(a.tau_w() > 0, "{} has zero WCET", b.name);
         // Optimization (tight budget: this is a smoke test).
@@ -102,8 +102,9 @@ fn simulator_and_analysis_agree_on_rough_magnitude() {
     // analysis over-approximates).
     let b = unlocked_prefetch::suite::by_name("matmult").expect("matmult");
     let config = CacheConfig::new(2, 16, 512).expect("valid");
-    let timing = EnergyModel::new(&config, Technology::Nm45).timing();
-    let a = WcetAnalysis::analyze(&b.program, &config, &timing).expect("analyzes");
+    let timing = EnergyModel::new(config, Technology::Nm45).timing();
+    let a =
+        WcetAnalysis::analyze(&b.program, &AnalysisOptions::new(config, timing)).expect("analyzes");
     let sim = Simulator::new(
         config,
         timing,
@@ -129,7 +130,7 @@ fn locking_tradeoff_matches_the_papers_argument() {
     // (static-dominated) energy relative to plain LRU — §2.3.
     let b = unlocked_prefetch::suite::by_name("compress").expect("compress");
     let config = CacheConfig::new(2, 16, 512).expect("valid");
-    let model = EnergyModel::new(&config, Technology::Nm32);
+    let model = EnergyModel::new(config, Technology::Nm32);
     let timing = model.timing();
     let locked = select_locked_greedy(&b.program, &config, &timing).expect("selects");
     let sim = Simulator::new(config, timing, test_sim());

@@ -9,7 +9,7 @@ use unlocked_prefetch::cache::{
 use unlocked_prefetch::core::{prefetch_equivalent, OptimizeParams, Optimizer};
 use unlocked_prefetch::isa::shape::Shape;
 use unlocked_prefetch::isa::{Layout, MemBlockId};
-use unlocked_prefetch::wcet::WcetAnalysis;
+use unlocked_prefetch::wcet::{AnalysisOptions, WcetAnalysis};
 
 /// Random structured programs: bounded depth, bounded loop bounds.
 fn shapes() -> impl Strategy<Value = Shape> {
@@ -50,7 +50,7 @@ proptest! {
     #[test]
     fn analysis_invariants(shape in shapes(), config in small_configs()) {
         let p = shape.compile("prop");
-        let a = WcetAnalysis::analyze(&p, &config, &MemTiming::default()).expect("analyzes");
+        let a = WcetAnalysis::analyze(&p, &AnalysisOptions::new(config, MemTiming::default())).expect("analyzes");
         // τ_w decomposes over references (Eq. 3 == Σ Eq. 2).
         let sum: u64 = a.acfg().refs().iter().map(|r| a.tau_of(r.id)).sum();
         prop_assert_eq!(sum, a.tau_w());

@@ -42,8 +42,8 @@ fn theorem_one_holds_across_the_matrix() {
             let report = check(
                 &b.program,
                 &opt.program,
-                opt.analysis_after.layout().clone(),
-                &config,
+                opt.analysis_after.layout(),
+                config,
                 &timing,
             )
             .unwrap_or_else(|e| panic!("{name}@{config}: {e}"));
